@@ -51,7 +51,6 @@ from .control import (
     los_tracking_control,
     pid_baseline,
     rate_tracking_control,
-    stabilization_control,
     torques_from_virtual,
     virtual_from_torques,
 )
@@ -70,9 +69,7 @@ from .sim import (
     fit_decay_slope,
     integrate,
     integrated_abs_error,
-    make_reference,
     peak_abs_error,
-    platform_rates,
     preset,
     preset_description,
     preset_names,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .kinematics import BodyRates, los_rates
-from .plant import GimbalState, InertiaModel, TorqueCommand, pitch_accel_drift, yaw_accel_drift
+from .plant import GimbalState, InertiaModel, TorqueCommand, _accel_drifts, pitch_accel_drift
 
 __all__ = [
     "ControlGains",
@@ -41,7 +41,6 @@ __all__ = [
     "torques_from_virtual",
     "virtual_from_torques",
     "rate_tracking_control",
-    "stabilization_control",
     "los_tracking_control",
     "PidParams",
     "PidState",
@@ -141,15 +140,11 @@ def elevation_drift(t: float, state: GimbalState, body: BodyRates) -> float:
     """Drift of the LOS elevation rate: d/dt q_a minus the pitch
     acceleration ``x2_dot`` [rad/s^2].
 
-    Equals the exact negation of ``plant.pitch_accel_drift`` (the
-    elevation rate is ``x2`` plus the body-rate term whose derivative
-    that function computes).
+    The exact negation of ``plant.pitch_accel_drift``: the elevation
+    rate is ``x2`` plus the body-rate term whose derivative that
+    function computes.
     """
-    s3, c3 = math.sin(state.x3), math.cos(state.x3)
-    x4 = state.x4
-    return (
-        -body.p_dot * s3 - x4 * body.p * c3 + body.q_dot * c3 - x4 * body.q * s3
-    )
+    return -pitch_accel_drift(t, state, body)
 
 
 def azimuth_drift(t: float, state: GimbalState, body: BodyRates) -> float:
@@ -180,10 +175,9 @@ def torques_from_virtual(
     the closed rate dynamics become ``x2_dot = v1`` and ``x4_dot = v2``.
     Inverse of :func:`virtual_from_torques`.
     """
-    return TorqueCommand(
-        model.j_ay * (v.v1 - pitch_accel_drift(t, state, body)),
-        model.j_k * (v.v2 - yaw_accel_drift(t, state, body, model)),
-    )
+    j_ay, j_k = model.j_ay, model.j_k
+    pitch, yaw = _accel_drifts(state, body, j_ay / j_k)
+    return TorqueCommand(j_ay * (v.v1 - pitch), j_k * (v.v2 - yaw))
 
 
 def virtual_from_torques(
@@ -194,10 +188,9 @@ def virtual_from_torques(
     model: InertiaModel,
 ) -> VirtualControl:
     """Virtual accelerations produced by given motor torques."""
-    return VirtualControl(
-        u.u1 / model.j_ay + pitch_accel_drift(t, state, body),
-        u.u2 / model.j_k + yaw_accel_drift(t, state, body, model),
-    )
+    j_ay, j_k = model.j_ay, model.j_k
+    pitch, yaw = _accel_drifts(state, body, j_ay / j_k)
+    return VirtualControl(u.u1 / j_ay + pitch, u.u2 / j_k + yaw)
 
 
 def rate_tracking_control(
@@ -227,19 +220,6 @@ def rate_tracking_control(
         + gains.c2 * (ra_des.value(t) - r_a)
     ) / guard_cos(math.cos(state.x1), guard)
     return VirtualControl(v1, v2)
-
-
-def stabilization_control(
-    t: float,
-    state: GimbalState,
-    body: BodyRates,
-    gains: ControlGains,
-    guard: GuardSpec = GuardSpec(),
-) -> VirtualControl:
-    """Drive both LOS rates to zero (rate tracking of zero references)."""
-    return rate_tracking_control(
-        t, state, body, gains, ZERO_TRAJECTORY, ZERO_TRAJECTORY, guard
-    )
 
 
 def los_tracking_control(

@@ -139,8 +139,10 @@ class NoiseSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.sigma_y < 0.0 or self.sigma_z < 0.0:
-            raise ValueError("noise standard deviations must be >= 0")
+        for name in ("sigma_y", "sigma_z"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"noise {name} must be a finite value >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,16 @@ def validate_symmetry(model: InertiaModel, tol: float = 1e-12) -> SymmetryReport
     return SymmetryReport(not violations, tuple(violations))
 
 
+def _accel_drifts(state: GimbalState, body: BodyRates, j_ratio: float) -> tuple[float, float]:
+    # pitch and yaw drifts from one sin/cos of x3; j_ratio = j_ay / j_k
+    s3, c3 = math.sin(state.x3), math.cos(state.x3)
+    p, q, x4 = body.p, body.q, state.x4
+    return (
+        body.p_dot * s3 + x4 * p * c3 - body.q_dot * c3 + x4 * q * s3,
+        -body.r_dot - j_ratio * (p * c3 + q * s3) * (-p * s3 + q * c3 + state.x2),
+    )
+
+
 def pitch_accel_drift(t: float, state: GimbalState, body: BodyRates) -> float:
     """Platform-induced angular acceleration on the pitch rate channel.
 
@@ -196,11 +208,7 @@ def pitch_accel_drift(t: float, state: GimbalState, body: BodyRates) -> float:
     ``x3_dot = x4``. Appears additively in the ``x2`` dynamics
     [rad/s^2].
     """
-    s3, c3 = math.sin(state.x3), math.cos(state.x3)
-    x4 = state.x4
-    return (
-        body.p_dot * s3 + x4 * body.p * c3 - body.q_dot * c3 + x4 * body.q * s3
-    )
+    return _accel_drifts(state, body, 1.0)[0]  # the pitch drift has no inertia ratio
 
 
 def yaw_accel_drift(
@@ -211,11 +219,7 @@ def yaw_accel_drift(
     Combines the body yaw acceleration with the inertia cross-coupling
     between the yaw-frame x rate and the LOS elevation rate [rad/s^2].
     """
-    s3, c3 = math.sin(state.x3), math.cos(state.x3)
-    ratio = model.j_ay / model.j_k
-    return -body.r_dot - ratio * (body.p * c3 + body.q * s3) * (
-        -body.p * s3 + body.q * c3 + state.x2
-    )
+    return _accel_drifts(state, body, model.j_ay / model.j_k)[1]
 
 
 def _rhs(

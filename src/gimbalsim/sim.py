@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -32,12 +33,10 @@ from .control import (
     PidParams,
     PidState,
     ZERO_TRAJECTORY,
-    los_tracking_control,
+    guard_cos,
     pid_baseline,
-    rate_tracking_control,
-    torques_from_virtual,
 )
-from .kinematics import BodyRates, los_rates
+from .kinematics import BodyRates
 from .plant import (
     GimbalState,
     InertiaModel,
@@ -55,9 +54,7 @@ __all__ = [
     "SinusoidalPlatform",
     "ConstantPlatform",
     "TablePlatform",
-    "platform_rates",
     "ReferenceSpec",
-    "make_reference",
     "Scenario",
     "SimRecord",
     "integrate",
@@ -191,22 +188,14 @@ class TablePlatform(PlatformProfile):
             return BodyRates(self.p[0], self.q[0], self.r[0])
         if t >= ts[-1]:
             return BodyRates(self.p[-1], self.q[-1], self.r[-1])
-        i = 1
-        while ts[i] < t:  # tables are short; linear scan is fine
-            i += 1
+        i = bisect_left(ts, t, 1)  # first breakpoint at or after t: O(log n)
         dt = ts[i] - ts[i - 1]
         w = (t - ts[i - 1]) / dt
-        out = []
-        for ch in (self.p, self.q, self.r):
-            out.append(ch[i - 1] + w * (ch[i] - ch[i - 1]))
-        for ch in (self.p, self.q, self.r):
-            out.append((ch[i] - ch[i - 1]) / dt)
-        return BodyRates(*out)
-
-
-def platform_rates(profile: PlatformProfile, t: float) -> BodyRates:
-    """Body rates and derivatives of ``profile`` at time ``t`` (t >= 0)."""
-    return profile.rates(t)
+        p, q, r = self.p, self.q, self.r
+        dp, dq, dr = p[i] - p[i - 1], q[i] - q[i - 1], r[i] - r[i - 1]
+        return BodyRates(
+            p[i - 1] + w * dp, q[i - 1] + w * dq, r[i - 1] + w * dr, dp / dt, dq / dt, dr / dt
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +223,10 @@ class ReferenceSpec:
         for name in ("amplitude", "omega", "t_on"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"reference {name} must be finite")
+        if not self.t_off > self.t_on:  # also rejects a NaN t_off
+            raise ValueError(
+                f"reference t_off must be a number > t_on = {self.t_on!r}, got {self.t_off!r}"
+            )
 
     def trajectory(self) -> DesiredTrajectory:
         if self.kind == "zero":
@@ -252,12 +245,6 @@ class ReferenceSpec:
             lambda t: a * w * math.cos(w * t),
             lambda t: -a * w * w * math.sin(w * t),
         )
-
-
-def make_reference(kind: str, **params) -> DesiredTrajectory:
-    """Build a reference trajectory; see :class:`ReferenceSpec` for kinds
-    and parameters."""
-    return ReferenceSpec(kind=kind, **params).trajectory()
 
 
 # ---------------------------------------------------------------------------
@@ -401,52 +388,65 @@ def integrate(scenario: Scenario) -> SimRecord:
     gauss = random.Random(sc.noise.seed).gauss
     sig_y, sig_z = sc.noise.sigma_y, sc.noise.sigma_z
 
-    gains, guard = sc.gains, sc.guard
+    kind, gains, guard = sc.controller, sc.gains, sc.guard
     traj_q, traj_r = sc.ref_q.trajectory(), sc.ref_r.trajectory()
-    pid_state = PidState()
-    cos, isfinite = math.cos, math.isfinite
-
-    kind = sc.controller
-    if kind == "open-loop":
-
-        def control_step(t, st, body):
-            return 0.0, 0.0, 0.0, 0.0, 0.0
-    elif kind == "pid":
-        pid_params = sc.pid
-
-        def control_step(t, st, body):
-            nonlocal pid_state
-            e_q = traj_q.value(t) - st.theta_q
-            e_r = traj_r.value(t) - st.theta_r
-            v, pid_state = pid_baseline(t, e_q, e_r, pid_params, pid_state)
-            return v.v1, v.v2, j_ay * v.v1, j_k * v.v2, 0.0
-    elif kind in ("stabilize", "rate-track"):
-        if kind == "stabilize":  # stabilization is rate tracking of zero
-            traj_q = traj_r = ZERO_TRAJECTORY
-
-        def control_step(t, st, body):
-            v = rate_tracking_control(t, st, body, gains, traj_q, traj_r, guard)
-            u = torques_from_virtual(v, t, st, body, model)
-            ga = 1.0 if abs(cos(st.x1)) < gthr else 0.0
-            return v.v1, v.v2, u.u1, u.u2, ga
-    else:  # los-track
-
-        def control_step(t, st, body):
-            v = los_tracking_control(
-                t, st, body, gains, traj_q, traj_r, st.theta_q, st.theta_r, guard
-            )
-            u = torques_from_virtual(v, t, st, body, model)
-            ga = 1.0 if abs(cos(st.x1)) < gthr else 0.0
-            return v.v1, v.v2, u.u1, u.u2, ga
+    if kind == "stabilize":  # stabilization is rate tracking of zero
+        traj_q = traj_r = ZERO_TRAJECTORY
+    pid_params, pid_state = sc.pid, PidState()
+    law = kind in ("stabilize", "rate-track", "los-track")
+    los = kind == "los-track"
+    # The laws differ only in their reference terms: the rate laws add
+    # d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
+    # c_pos (value - angle), with gains (c1, c2) / (c1..c4).
+    if los:
+        ff_q, ff_r, ref_q, ref_r = traj_q.d2, traj_r.d2, traj_q.d1, traj_r.d1
+        kq, kr, kpq, kpr = gains.c1, gains.c3, gains.c2, gains.c4
+    elif law:
+        ff_q, ff_r, ref_q, ref_r = traj_q.d1, traj_r.d1, traj_q.value, traj_r.value
+        kq, kr = gains.c1, gains.c2
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(n + 1):
         t = k * h
-        body = rates(t)
-        st = GimbalState(x1, x2, x3, x4, tq, tr)
-        q_a, r_a = los_rates(st, body)
-        v1, v2, u1, u2, ga = control_step(t, st, body)
+        p, q, r, p_dot, q_dot, r_dot = rates(t)
+        # One sin/cos of x1 and x3 per step. The lines below are
+        # kinematics.los_rates, plant.pitch_accel_drift/yaw_accel_drift
+        # and control.azimuth_drift with the same operand order, so the
+        # trace is bit-identical to composing those functions.
+        sx1, cx1 = sin(x1), cos(x1)
+        sx3, cx3 = sin(x3), cos(x3)
+        q_a = -p * sx3 + q * cx3 + x2
+        r_a = p * cx3 * sx1 + q * sx3 * sx1 + r * cx1 + x4 * cx1
+        pq_cx3 = p * cx3 + q * sx3
+        f_pitch = p_dot * sx3 + x4 * p * cx3 - q_dot * cx3 + x4 * q * sx3
+        f_yaw = -r_dot - j_ratio * pq_cx3 * q_a
+        if law:
+            f_az = (
+                (p_dot * cx3 - x4 * p * sx3 + q_dot * sx3 + x4 * q * cx3) * sx1
+                + pq_cx3 * x2 * cx1
+                - x2 * r * sx1
+                - x2 * x4 * sx1
+                + r_dot * cx1
+            )
+            # -elevation_drift == pitch drift exactly
+            v1 = f_pitch + ff_q(t) + kq * (ref_q(t) - q_a)
+            w2 = -f_az + ff_r(t) + kr * (ref_r(t) - r_a)
+            if los:
+                v1 += kpq * (traj_q.value(t) - tq)
+                w2 += kpr * (traj_r.value(t) - tr)
+            v2 = w2 / guard_cos(cx1, guard)
+            u1 = j_ay * (v1 - f_pitch)
+            u2 = j_k * (v2 - f_yaw)
+            ga = 1.0 if abs(cx1) < gthr else 0.0
+        elif kind == "pid":
+            (v1, v2), pid_state = pid_baseline(
+                t, traj_q.value(t) - tq, traj_r.value(t) - tr, pid_params, pid_state
+            )
+            u1, u2, ga = j_ay * v1, j_k * v2, 0.0
+        else:  # open-loop
+            v1 = v2 = u1 = u2 = ga = 0.0
         if noise_on:
             ny = gauss(0.0, sig_y)
             nz = gauss(0.0, sig_z)
@@ -458,12 +458,9 @@ def integrate(scenario: Scenario) -> SimRecord:
 
         u1e = u1 + ny
         u2e = u2 + nz
+        # stage 1 reuses the step's trig: plant._rhs at (x, u + noise, body)
+        a1, a2, a3, a4, a5, a6 = x2, u1e / j_ay + f_pitch, x4, u2e / j_k + f_yaw, q_a, r_a
         try:
-            a1, a2, a3, a4, a5, a6 = _rhs(
-                x1, x2, x3, x4, u1e, u2e,
-                body.p, body.q, body.r, body.p_dot, body.q_dot, body.r_dot,
-                j_ay, j_k, j_ratio,
-            )
             bm = rates(t + half)
             b1, b2, b3, b4, b5, b6 = _rhs(
                 x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4,

@@ -136,6 +136,24 @@ class TestRunCommand:
         resolved = cli.scenario_from_ini((out / "scenario.resolved").read_text())
         assert resolved.noise.seed == 777
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("[noise]\nenabled = true\nsigma_y = nan\n", "sigma_y"),
+            ("[noise]\nenabled = true\nsigma_z = nan\n", "sigma_z"),
+            ("[reference_q]\nkind = step\namplitude = 0.1\nt_on = 1\nt_off = nan\n", "t_off"),
+            ("[reference_r]\nkind = step\namplitude = 0.1\nt_on = 2\nt_off = 1\n", "t_off"),
+        ],
+    )
+    def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, section, field):
+        cfg = tmp_path / "bad.ini"
+        head = "[scenario]\nname = bad\ncontroller = open-loop\nduration = 0.1\n"
+        cfg.write_text(head + section)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "badout")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "badout").exists()
+
     def test_divergence_returns_nonzero(self, tmp_path, capsys):
         sc = Scenario(
             name="boom",

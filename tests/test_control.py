@@ -18,7 +18,6 @@ from gimbalsim.control import (
     los_tracking_control,
     pid_baseline,
     rate_tracking_control,
-    stabilization_control,
     torques_from_virtual,
     virtual_from_torques,
 )
@@ -31,6 +30,7 @@ from gimbalsim.plant import (
     pitch_accel_drift,
     state_derivative,
 )
+from gimbalsim.sim import ConstantPlatform, Scenario, integrate
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 rates = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -184,12 +184,24 @@ class TestRateTracking:
         assert v.v1 == pytest.approx(-0.3, rel=1e-14)
 
     @given(states, bodies)
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_stabilization_equals_zero_reference_tracking(self, state, body):
-        gains = ControlGains(3.0, 4.0)
-        assert stabilization_control(1.5, state, body, gains) == rate_tracking_control(
-            1.5, state, body, gains, ZERO_TRAJECTORY, ZERO_TRAJECTORY
+        # the integrator's stabilize controller commands, bit for bit,
+        # rate tracking of zero references and its torque map
+        body = BodyRates(body.p, body.q, body.r)
+        sc = Scenario(
+            controller="stabilize",
+            gains=ControlGains(3.0, 4.0),
+            duration=1e-3,
+            initial_state=state,
+            platform=ConstantPlatform(body.p, body.q, body.r),
         )
+        row = integrate(sc).data[0].tolist()
+        v = rate_tracking_control(
+            0.0, state, body, sc.gains, ZERO_TRAJECTORY, ZERO_TRAJECTORY, sc.guard
+        )
+        u = torques_from_virtual(v, 0.0, state, body, sc.model)
+        assert [x.hex() for x in row[9:13]] == [x.hex() for x in (*v, *u)]
 
 
 class TestLosTracking:

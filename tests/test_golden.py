@@ -1,0 +1,136 @@
+"""Golden-trace contract: the bytes of ``trace.csv`` for fixed scenarios.
+
+A refactor of the integrator, the control laws or the platform profiles
+must leave these SHA-256 digests unchanged. They pin every value of the
+trace to the last bit, so they depend on the libm and numpy build that
+produced them (recorded with Python 3.11 / numpy 2.4 / glibc on x86-64).
+On another platform a mismatch can be a libm difference rather than a
+code change; regenerate the digests there from a known-good commit
+before trusting a failure. A change that sets out to alter the traces
+updates the digests and says so.
+"""
+
+import hashlib
+import math
+from dataclasses import replace
+
+import pytest
+
+from gimbalsim import cli, sim
+from gimbalsim.control import ControlGains
+from gimbalsim.plant import GimbalState
+from gimbalsim.sim import ReferenceSpec, Scenario, SinusoidalPlatform, TablePlatform
+
+DURATION = 2.0
+
+
+def _table_platform(n: int = 1000) -> TablePlatform:
+    # breakpoints every 2 ms up to 1.998 s: the 1 ms run samples at
+    # breakpoints, between them, and past the end of the table
+    times = tuple(i * 0.002 for i in range(n))
+    p = tuple(0.1 * math.sin(0.7 * t) + 0.01 * math.sin(53.0 * t) for t in times)
+    q = tuple(0.1 * math.cos(1.1 * t) for t in times)
+    r = tuple(0.2 * math.sin(0.9 * t + 0.3) for t in times)
+    return TablePlatform(times, p, q, r)
+
+
+def _extra_scenarios() -> dict[str, Scenario]:
+    sin_ref = ReferenceSpec(kind="sinusoid", amplitude=0.3, omega=1.5)
+    return {
+        "table-rate-track": Scenario(
+            name="table-rate-track",
+            controller="rate-track",
+            duration=DURATION,
+            gains=ControlGains(5.0, 7.0),
+            initial_state=GimbalState(0.2, 0.1, -0.3, 0.05),
+            platform=_table_platform(),
+            ref_q=sin_ref,
+            ref_r=ReferenceSpec(kind="step", amplitude=0.2, t_on=0.5, t_off=1.5),
+        ),
+        "near-lock-los-track": Scenario(
+            name="near-lock-los-track",
+            controller="los-track",
+            duration=DURATION,
+            gains=ControlGains(8.0, 10.0, 6.0, 8.0),
+            initial_state=GimbalState(math.pi / 2 - 0.05, 0.0, 0.1, 0.0),
+            ref_q=ReferenceSpec(kind="sinusoid", amplitude=0.2, omega=2.0),
+            ref_r=sin_ref,
+        ),
+        "open-loop": Scenario(
+            name="open-loop",
+            controller="open-loop",
+            duration=DURATION,
+            initial_state=GimbalState(0.1, 0.4, -0.2, 0.3),
+            platform=SinusoidalPlatform(),
+        ),
+    }
+
+
+def _scenario(name: str) -> Scenario:
+    extra = _extra_scenarios()
+    if name in extra:
+        return extra[name]
+    return replace(sim.preset(name), duration=DURATION)
+
+
+GOLDEN = {
+    "fig3-stab": "8602c37252177903bb53c5fc2adec38bb6cf58aa3832fdb7e49bffb4ca5d4715",
+    "fig3-stab-noise": "b51a3884c59d2af47a69247aec29fd81d39d479d74c86dc545022380334bbb75",
+    "fig4-step": "cbe38b27d08b8bda751fe461106e03e8e96ad5b5d4edfc8b8f1f9caef217268f",
+    "fig4-step-noise": "e752ccf4bf7d494de699d44a75809eff1335751dfbb9c5b71edd707b36a10ca4",
+    "fig4-step-pid": "aebc4fda99835682465d75aca577406f4a24e0d9000b4130c01fa569b0447ebc",
+    "fig5-sin": "899574bef090d92d9521a9646f4360bcedae91888658ed2b8614ff8c3a3c41fa",
+    "fig5-sin-noise": "772a8ed572d5225d022682e451b18dfb0a032e8057342cb95ded3bb62d902e13",
+    "table-rate-track": "46750277b6a4deb1d2d545608d9c349c63c6044246b309295c457cd7a15eff2d",
+    "near-lock-los-track": "12d40141fd6bb365a91cf15ed34709e1c53cd6f209df578474f9953cd3d7baef",
+    "open-loop": "0ef7f458f8254c90f1a73afeb215fefa2109a2d3da7b50e8008bbeb34f6bd60b",
+}
+
+
+def test_golden_covers_every_preset():
+    assert set(sim.preset_names()) <= set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_digest(name, tmp_path):
+    rec = sim.integrate(_scenario(name))
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(rec, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_near_lock_scenario_engages_guard():
+    rec = sim.integrate(_scenario("near-lock-los-track"))
+    assert rec.guard_active.any()
+
+
+def _linear_scan_rates(tab: TablePlatform, t: float) -> tuple[float, ...]:
+    # reference lookup: first breakpoint at or after t by linear scan
+    ts = tab.times
+    if t <= ts[0]:
+        return (tab.p[0], tab.q[0], tab.r[0], 0.0, 0.0, 0.0)
+    if t >= ts[-1]:
+        return (tab.p[-1], tab.q[-1], tab.r[-1], 0.0, 0.0, 0.0)
+    i = 1
+    while ts[i] < t:
+        i += 1
+    dt = ts[i] - ts[i - 1]
+    w = (t - ts[i - 1]) / dt
+    chans = (tab.p, tab.q, tab.r)
+    return tuple(ch[i - 1] + w * (ch[i] - ch[i - 1]) for ch in chans) + tuple(
+        (ch[i] - ch[i - 1]) / dt for ch in chans
+    )
+
+
+def test_table_lookup_matches_linear_scan_bit_for_bit():
+    tab = _table_platform()
+    ts = tab.times
+    probes = [ts[0] - 1.0, ts[0], ts[-1], ts[-1] + 1.0]
+    probes += list(ts)
+    probes += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+    probes += [math.nextafter(a, d) for a in ts for d in (math.inf, -math.inf)]
+    probes += [k * 1e-3 for k in range(2001)]
+    for t in probes:
+        want = [v.hex() for v in _linear_scan_rates(tab, t)]
+        got = [v.hex() for v in tab.rates(t)]
+        assert got == want, f"t={t!r}"

@@ -74,6 +74,11 @@ class TestInertiaModel:
         with pytest.raises(ValueError):
             NoiseSpec(sigma_y=-1e-3)
 
+    @pytest.mark.parametrize("field", ["sigma_y", "sigma_z"])
+    def test_noise_spec_rejects_nan_sigma(self, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(**{field: math.nan})
+
 
 class TestPitchAccelDrift:
     def test_zero_body(self):

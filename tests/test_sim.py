@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gimbalsim.control import ControlGains
+from gimbalsim.control import (
+    ZERO_TRAJECTORY,
+    ControlGains,
+    los_tracking_control,
+    rate_tracking_control,
+    torques_from_virtual,
+)
+from gimbalsim.kinematics import los_rates
 from gimbalsim.plant import GimbalState, NoiseSpec
 from gimbalsim.sim import (
     COLUMNS,
@@ -18,9 +25,7 @@ from gimbalsim.sim import (
     fit_decay_slope,
     integrate,
     integrated_abs_error,
-    make_reference,
     peak_abs_error,
-    platform_rates,
     preset,
     preset_description,
     preset_names,
@@ -44,19 +49,19 @@ def open_loop(duration, step, x0, platform=STILL, name="ol"):
 
 class TestPlatformProfiles:
     def test_preset_motion_at_zero(self):
-        b = platform_rates(SinusoidalPlatform(), 0.0)
+        b = SinusoidalPlatform().rates(0.0)
         assert (b.p, b.q, b.r) == (0.0, 0.0, 0.0)
         assert b.p_dot == pytest.approx(0.1 * math.pi / 15)
         assert b.q_dot == pytest.approx(0.1 * math.pi / 20)
         assert b.r_dot == pytest.approx(0.2 * math.pi / 15)
 
     def test_quarter_period_peak(self):
-        b = platform_rates(SinusoidalPlatform(), 7.5)
+        b = SinusoidalPlatform().rates(7.5)
         assert b.p == pytest.approx(0.1, rel=1e-12)
         assert b.p_dot == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_profile_has_zero_derivatives(self):
-        b = platform_rates(ConstantPlatform(0.1, -0.2, 0.3), 12.0)
+        b = ConstantPlatform(0.1, -0.2, 0.3).rates(12.0)
         assert (b.p, b.q, b.r) == (0.1, -0.2, 0.3)
         assert (b.p_dot, b.q_dot, b.r_dot) == (0.0, 0.0, 0.0)
 
@@ -82,11 +87,11 @@ class TestPlatformProfiles:
 
 class TestReferences:
     def test_zero(self):
-        traj = make_reference("zero")
+        traj = ReferenceSpec(kind="zero").trajectory()
         assert (traj.value(3.0), traj.d1(3.0), traj.d2(3.0)) == (0.0, 0.0, 0.0)
 
     def test_sinusoid_analytic_derivatives(self):
-        traj = make_reference("sinusoid", amplitude=1.0, omega=math.pi / 25)
+        traj = ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25).trajectory()
         assert traj.value(0.0) == 0.0
         assert traj.d1(0.0) == pytest.approx(math.pi / 25)
         assert traj.d2(0.0) == pytest.approx(0.0, abs=1e-15)
@@ -99,7 +104,7 @@ class TestReferences:
             assert traj.d2(t) == pytest.approx(fd2, abs=1e-6)
 
     def test_step_window(self):
-        traj = make_reference("step", amplitude=math.pi / 6, t_on=5.0, t_off=25.0)
+        traj = ReferenceSpec(kind="step", amplitude=math.pi / 6, t_on=5.0, t_off=25.0).trajectory()
         assert traj.value(4.999) == 0.0
         assert traj.value(5.0) == math.pi / 6
         assert traj.value(24.999) == math.pi / 6
@@ -108,7 +113,12 @@ class TestReferences:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_reference("ramp")
+            ReferenceSpec(kind="ramp")
+
+    @pytest.mark.parametrize("t_on, t_off", [(1.0, math.nan), (2.0, 1.0), (1.0, 1.0)])
+    def test_step_window_must_be_ordered(self, t_on, t_off):
+        with pytest.raises(ValueError, match="t_off"):
+            ReferenceSpec(kind="step", amplitude=1.0, t_on=t_on, t_off=t_off)
 
 
 class TestScenarioValidation:
@@ -221,6 +231,35 @@ class TestIntegrate:
             name="st1",
         )
         assert np.array_equal(integrate(base).data, integrate(with_refs).data)
+
+    @pytest.mark.parametrize("controller", ["rate-track", "los-track"])
+    def test_recorded_rows_match_public_functions(self, controller):
+        # the fused step kernel reproduces los_rates, the laws and the
+        # torque map bit for bit, inside and outside the guard band
+        ref = ReferenceSpec(kind="sinusoid", amplitude=0.5, omega=2.0)
+        sc = Scenario(
+            controller=controller,
+            duration=0.5,
+            gains=ControlGains(6.0, 8.0, 9.0, 10.0),
+            initial_state=GimbalState(1.28, -0.6, -0.2, 0.1),
+            ref_q=ref,
+            ref_r=ref,
+        )
+        rec = integrate(sc)
+        assert rec.guard_active.any() and not rec.guard_active.all()
+        traj = ZERO_TRAJECTORY if controller == "stabilize" else ref.trajectory()
+        for row in rec.data[::7].tolist():
+            t, st = row[0], GimbalState(*row[1:7])
+            body = sc.platform.rates(t)
+            if controller == "los-track":
+                v = los_tracking_control(
+                    t, st, body, sc.gains, traj, traj, st.theta_q, st.theta_r, sc.guard
+                )
+            else:
+                v = rate_tracking_control(t, st, body, sc.gains, traj, traj, sc.guard)
+            u = torques_from_virtual(v, t, st, body, sc.model)
+            want = (*los_rates(st, body), *v, *u)
+            assert [x.hex() for x in row[7:13]] == [x.hex() for x in want]
 
     def test_guard_flag_recorded(self, rec_fig5):
         # the sinusoid scenario passes near gimbal lock once
