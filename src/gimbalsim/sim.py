@@ -21,7 +21,7 @@ import math
 import random
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,6 +115,13 @@ class PlatformProfile:
 
     kind = "abstract"
 
+    def __post_init__(self):  # runs for the dataclass subclasses
+        for f in fields(self):
+            v = getattr(self, f.name)
+            bad = [x for x in (v if isinstance(v, tuple) else (v,)) if not math.isfinite(x)]
+            if bad:
+                raise ValueError(f"platform {f.name} must be finite, got {bad[0]!r}")
+
     def rates(self, t: float) -> BodyRates:
         raise NotImplementedError
 
@@ -179,6 +186,7 @@ class TablePlatform(PlatformProfile):
         n = len(self.times)
         if n < 2 or any(len(ch) != n for ch in (self.p, self.q, self.r)):
             raise ValueError("table needs >= 2 breakpoints with matching channel lengths")
+        super().__post_init__()
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("table times must be strictly increasing")
 

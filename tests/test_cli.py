@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,29 @@ from gimbalsim.sim import ConstantPlatform, ReferenceSpec, Scenario, TablePlatfo
 def small_record():
     sc = replace(sim.preset("fig3-stab"), duration=1.0, step_size=0.01, name="small")
     return integrate(sc)
+
+
+# Cells the codec must carry bit for bit: signed zero, NaN, infinities,
+# the smallest subnormal, the largest finite float and an inexact decimal.
+SPECIAL_CELLS = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1)
+B = cli.CSV_BLOCK_ROWS
+
+
+def reference_write(data, path):
+    """Per-value writer: ``format(v, ".17g")`` on every cell."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(sim.COLUMNS) + "\n")
+        for row in data:
+            f.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def codec_record(n_rows):
+    rng = np.random.default_rng(n_rows)
+    shape = (n_rows, len(sim.COLUMNS))
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    cells = data.reshape(-1)
+    cells[::3] = np.resize(SPECIAL_CELLS, cells[::3].size)
+    return sim.SimRecord(data, Scenario(controller="open-loop"))
 
 
 class TestTraceCsv:
@@ -35,6 +63,46 @@ class TestTraceCsv:
         assert len(lines) == rec.n_rows + 1
         assert "," in lines[1] and "." in lines[1]
 
+    @pytest.mark.parametrize("n_rows", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_block_writer_matches_per_value_reference(self, tmp_path, n_rows):
+        rec = codec_record(n_rows)
+        cli.write_trace_csv(rec, tmp_path / "block.csv")
+        reference_write(rec.data, tmp_path / "reference.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        header, data = cli.read_trace_csv(tmp_path / "block.csv")
+        assert header == sim.COLUMNS
+        assert data.shape == rec.data.shape
+        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
+
+    @pytest.mark.parametrize("trailer", ["", "\n", " \n\n"], ids=["bare", "blank-line", "blank-lines"])
+    def test_header_only_reads_as_empty_table(self, tmp_path, trailer):
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(codec_record(0), path)
+        assert path.read_text() == ",".join(sim.COLUMNS) + "\n"
+        with open(path, "a") as f:
+            f.write(trailer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, data = cli.read_trace_csv(path)
+        assert header == sim.COLUMNS
+        assert data.shape == (0, len(sim.COLUMNS))
+
+    def test_empty_file_raises_value_error(self, tmp_path):
+        (tmp_path / "empty.csv").write_text("")
+        with pytest.raises(ValueError, match="header"):
+            cli.read_trace_csv(tmp_path / "empty.csv")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n", "1,2\n3,4\n", "1,2,3\n4,x,6\n", "1,2,3\n4,,6\n"],
+        ids=["short-row", "long-row", "narrow-table", "non-numeric", "empty-cell"],
+    )
+    def test_malformed_rows_raise_value_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(ValueError):
+            cli.read_trace_csv(path)
+
 
 class TestScenarioConfig:
     def test_round_trip_all_presets(self):
@@ -56,6 +124,23 @@ class TestScenarioConfig:
             noise=NoiseSpec(enabled=True, sigma_y=0.001, sigma_z=0.003, seed=42),
         )
         assert cli.scenario_from_ini(cli.scenario_to_ini(sc)) == sc
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[scenario]\ncontroler = stabilize\n", ("[scenario]", "'controler'")),
+            ("[platform]\nkind = constant\namp_p = 0.1\n", ("[platform]", "'amp_p'")),
+            ("[noise]\nenabled = true\nsigma = 0.1\n", ("[noise]", "'sigma'")),
+            ("[inertia]\npitch_zx = 0.1\n", ("[inertia]", "'pitch_zx'")),
+            ("[gain]\nc1 = 1\nc2 = 2\n", ("[gain]",)),
+        ],
+        ids=["scenario-key", "platform-key", "noise-key", "inertia-key", "section"],
+    )
+    def test_unknown_section_or_key_rejected(self, text, named):
+        with pytest.raises(ValueError) as info:
+            cli.scenario_from_ini(text)
+        for part in named:
+            assert part in str(info.value)
 
     def test_minimal_config_uses_defaults(self):
         text = "[scenario]\nname = tiny\ncontroller = open-loop\nduration = 0.5\n"
@@ -143,6 +228,12 @@ class TestRunCommand:
             ("[noise]\nenabled = true\nsigma_z = nan\n", "sigma_z"),
             ("[reference_q]\nkind = step\namplitude = 0.1\nt_on = 1\nt_off = nan\n", "t_off"),
             ("[reference_r]\nkind = step\namplitude = 0.1\nt_on = 2\nt_off = 1\n", "t_off"),
+            ("[platform]\nkind = sinusoidal\namp_q = nan\n", "platform amp_q"),
+            ("[platform]\nkind = constant\nr = inf\n", "platform r"),
+            (
+                "[platform]\nkind = custom-table\ntimes = 0, 1\np = 0, nan\nq = 0, 0\nr = 0, 0\n",
+                "platform p",
+            ),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, section, field):
@@ -153,6 +244,29 @@ class TestRunCommand:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "badout").exists()
+
+    def test_config_typo_exits_2_naming_section_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text("[scenario]\nname = typo\ncontroler = stabilize\nduration = 0.1\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "typoout")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[scenario]" in err and "'controler'" in err
+        assert not (tmp_path / "typoout").exists()
+
+    def test_python_dash_m_runs_from_source_tree(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("GIMBAL_OUT_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gimbalsim", "run", "--preset", "fig3-stab",
+             "--step-size", "0.02", "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fig3-stab: 3001 rows" in proc.stdout
+        _, data = cli.read_trace_csv(tmp_path / "out" / "trace.csv")
+        assert data.shape == (3001, len(sim.COLUMNS))
 
     def test_divergence_returns_nonzero(self, tmp_path, capsys):
         sc = Scenario(

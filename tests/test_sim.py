@@ -84,6 +84,23 @@ class TestPlatformProfiles:
         with pytest.raises(ValueError):
             TablePlatform(times=(0.0, 0.0), p=(1.0, 1.0), q=(1.0, 1.0), r=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: SinusoidalPlatform(amp_q=v), "amp_q"),
+            (lambda v: SinusoidalPlatform(omega_r=v), "omega_r"),
+            (lambda v: ConstantPlatform(p=v), "p"),
+            (lambda v: ConstantPlatform(r=v), "r"),
+            (lambda v: TablePlatform((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), (0.0, v, 0.0), (0.0,) * 3), "q"),
+            (lambda v: TablePlatform((0.0, 1.0, v), (0.0,) * 3, (0.0,) * 3, (0.0,) * 3), "times"),
+        ],
+        ids=["sinusoidal", "sinusoidal", "constant", "constant", "table", "table"],
+    )
+    def test_non_finite_parameter_rejected_naming_field(self, build, field, bad):
+        with pytest.raises(ValueError, match=f"platform {field} must be finite"):
+            build(bad)
+
 
 class TestReferences:
     def test_zero(self):
