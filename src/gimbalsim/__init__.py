@@ -4,7 +4,7 @@ Library layout:
 
 - :mod:`gimbalsim.kinematics` - frame transforms and angular-velocity
   algebra between body, yaw-gimbal and pitch-gimbal frames.
-- :mod:`gimbalsim.plant` - inertia model, symmetric-design validation,
+- :mod:`gimbalsim.plant` - inertia model (checked for the symmetric design),
   drift terms and the open-loop state derivative.
 - :mod:`gimbalsim.control` - feedback-linearizing torque map, the
   stabilization / rate-tracking / LOS-tracking laws, the cos(x1)
@@ -29,12 +29,10 @@ from .plant import (
     GimbalState,
     InertiaModel,
     NoiseSpec,
-    SymmetryReport,
     TorqueCommand,
     default_model,
     pitch_accel_drift,
     state_derivative,
-    validate_symmetry,
     yaw_accel_drift,
 )
 from .control import (

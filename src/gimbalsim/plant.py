@@ -10,7 +10,7 @@ fixed.
 The model assumes a symmetric gimbal with no mass unbalance: products
 of inertia vanish, the inner gimbal has equal x/z moments, and the
 outer y moment equals the sum of the inner and outer x moments.
-``validate_symmetry`` reports violations of those conditions. Residual
+:class:`InertiaModel` rejects a design that violates them. Residual
 design error can be represented as additive torque noise per channel
 (:class:`NoiseSpec`); the realized draws are supplied by the simulation
 loop, once per integrator macro-step.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +31,7 @@ __all__ = [
     "TorqueCommand",
     "InertiaModel",
     "NoiseSpec",
-    "SymmetryReport",
     "default_model",
-    "validate_symmetry",
     "pitch_accel_drift",
     "yaw_accel_drift",
     "state_derivative",
@@ -68,6 +65,9 @@ class TorqueCommand(NamedTuple):
     u2: float
 
 
+_OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class InertiaModel:
     """Inertia matrices of the two gimbals plus the derived scalars.
@@ -77,26 +77,54 @@ class InertiaModel:
     equation of motion uses ``j_ay`` (pitch-gimbal y moment); the yaw
     equation uses ``j_k`` (sum of both z moments, constant under the
     symmetric-design assumptions).
+
+    Construction checks each matrix (3x3, finite, symmetric within
+    1e-15, positive moments) and then the symmetric design within
+    1e-12 kg m^2: all products of inertia vanish on both gimbals, the
+    pitch gimbal has equal x and z moments, and the outer y moment
+    equals the sum of the inner and outer x moments. A violation raises
+    ValueError naming it.
     """
 
     pitch_gimbal: np.ndarray
     yaw_gimbal: np.ndarray
 
     def __post_init__(self):
+        entries = []
         for name in ("pitch_gimbal", "yaw_gimbal"):
             m = np.array(getattr(self, name), dtype=float)
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3, got {m.shape}")
-            if not np.all(np.isfinite(m)):
+            e = m.tolist()
+            if not all(math.isfinite(v) for row in e for v in row):
                 raise ValueError(f"{name} has non-finite entries")
-            if not np.allclose(m, m.T, rtol=0.0, atol=1e-15):
+            if any(abs(e[i][j] - e[j][i]) > 1e-15 for i, j in _OFF_DIAGONAL):
                 raise ValueError(f"{name} must be symmetric")
-            if np.any(np.diag(m) <= 0.0):
+            if min(e[0][0], e[1][1], e[2][2]) <= 0.0:
                 raise ValueError(f"{name} needs positive moments of inertia")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        if self.j_k <= 0.0:
-            raise ValueError("combined yaw-axis inertia must be positive")
+            entries.append(e)
+        a, k = entries
+        tol = 1e-12
+        violations = []
+        for (i, j), label in zip(_OFF_DIAGONAL, ("xy", "xz", "yz")):
+            if abs(a[i][j]) > tol:
+                violations.append(f"pitch product of inertia {label} = {a[i][j]:g} != 0")
+            if abs(k[i][j]) > tol:
+                violations.append(f"yaw product of inertia {label} = {k[i][j]:g} != 0")
+        if abs(a[0][0] - a[2][2]) > tol:
+            violations.append(f"pitch x and z moments differ: {a[0][0]:g} != {a[2][2]:g}")
+        if abs(k[0][0] + a[0][0] - k[1][1]) > tol:
+            violations.append(
+                "yaw y moment must equal yaw x + pitch x moments: "
+                f"{k[1][1]:g} != {k[0][0]:g} + {a[0][0]:g}"
+            )
+        if violations:
+            raise ValueError(
+                "inertia model violates the symmetric-design assumptions: "
+                + "; ".join(violations)
+            )
 
     def __eq__(self, other):
         if not isinstance(other, InertiaModel):
@@ -114,11 +142,6 @@ class InertiaModel:
     def j_k(self) -> float:
         """Yaw-channel inertia: outer z moment plus inner z moment [kg m^2]."""
         return float(self.yaw_gimbal[2, 2] + self.pitch_gimbal[2, 2])
-
-    @cached_property
-    def symmetry(self) -> "SymmetryReport":
-        """Cached symmetric-design report (tolerance 1e-12 kg m^2)."""
-        return validate_symmetry(self)
 
 
 @dataclass(frozen=True)
@@ -145,49 +168,12 @@ class NoiseSpec:
                 raise ValueError(f"noise {name} must be a finite value >= 0, got {v!r}")
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of the symmetric-design check."""
-
-    passed: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def default_model() -> InertiaModel:
     """Inertia model used by the bundled presets (satisfies symmetry)."""
     return InertiaModel(
         pitch_gimbal=np.diag([0.003, 0.008, 0.003]),
         yaw_gimbal=np.diag([0.003, 0.006, 0.0003]),
     )
-
-
-def validate_symmetry(model: InertiaModel, tol: float = 1e-12) -> SymmetryReport:
-    """Check the symmetric-design conditions within absolute tolerance.
-
-    Conditions: all products of inertia vanish on both gimbals, the
-    pitch gimbal has equal x and z moments, and the outer y moment
-    equals the sum of the inner and outer x moments.
-    """
-    a, k = model.pitch_gimbal, model.yaw_gimbal
-    violations = []
-    for (i, j), label in (((0, 1), "xy"), ((0, 2), "xz"), ((1, 2), "yz")):
-        if abs(a[i, j]) > tol:
-            violations.append(f"pitch product of inertia {label} = {a[i, j]:g} != 0")
-        if abs(k[i, j]) > tol:
-            violations.append(f"yaw product of inertia {label} = {k[i, j]:g} != 0")
-    if abs(a[0, 0] - a[2, 2]) > tol:
-        violations.append(
-            f"pitch x and z moments differ: {a[0, 0]:g} != {a[2, 2]:g}"
-        )
-    if abs(k[0, 0] + a[0, 0] - k[1, 1]) > tol:
-        violations.append(
-            "yaw y moment must equal yaw x + pitch x moments: "
-            f"{k[1, 1]:g} != {k[0, 0]:g} + {a[0, 0]:g}"
-        )
-    return SymmetryReport(not violations, tuple(violations))
 
 
 def _accel_drifts(state: GimbalState, body: BodyRates, j_ratio: float) -> tuple[float, float]:
@@ -258,25 +244,17 @@ def state_derivative(
     body: BodyRates,
     model: InertiaModel,
     noise_torque: tuple[float, float] = (0.0, 0.0),
-    require_symmetric: bool = True,
 ) -> GimbalState:
     """Time derivative of the augmented gimbal state.
 
     ``noise_torque`` is the realized additive torque draw for this
     macro-step (held constant across integrator stages); pass the
-    default for noise-free evaluation. With ``require_symmetric`` the
-    model must pass ``validate_symmetry``; set it False to waive
-    explicitly. Raises ValueError on non-finite inputs or an asymmetric
-    model.
+    default for noise-free evaluation. Raises ValueError on non-finite
+    inputs.
     """
     values = (*state, *u, *body, *noise_torque)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("state_derivative requires finite state/input values")
-    if require_symmetric and not model.symmetry:
-        raise ValueError(
-            "inertia model violates the symmetric-design assumptions: "
-            + "; ".join(model.symmetry.violations)
-        )
     d = _rhs(
         state.x1,
         state.x2,

@@ -286,6 +286,15 @@ class Scenario:
             raise ValueError("duration must be positive")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError("step_size must be positive")
+        n = self.n_steps
+        if n < 1 or abs(n * self.step_size - self.duration) > 1e-9 * max(1.0, self.duration):
+            raise ValueError(
+                f"duration {self.duration:g} must be a whole number of steps "
+                f"of {self.step_size:g}"
+            )
+        for name, v in zip(GimbalState._fields, self.initial_state):
+            if not math.isfinite(v):
+                raise ValueError(f"initial state {name} must be finite, got {v!r}")
         if self.controller in ("stabilize", "rate-track", "los-track"):
             if self.gains is None:
                 raise ValueError(f"controller {self.controller!r} needs gains")
@@ -305,10 +314,7 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.duration / self.step_size))
-        if n < 1 or abs(n * self.step_size - self.duration) > 1e-9 * max(1.0, self.duration):
-            raise ValueError("duration must be a whole number of steps")
-        return n
+        return int(round(self.duration / self.step_size))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +361,6 @@ class SimRecord:
     def guard_active(self) -> np.ndarray:
         return self.col("guard_active") != 0.0
 
-    def state_at(self, i: int) -> GimbalState:
-        row = self.data[i]
-        return GimbalState(*row[1:7])
-
 
 # ---------------------------------------------------------------------------
 # Integration
@@ -370,16 +372,12 @@ def integrate(scenario: Scenario) -> SimRecord:
     Classical RK4 at fixed step on the augmented six-state plant. The
     controller output and any noise draw are computed from the state at
     each macro-step and held constant across the stage evaluations.
-    Raises :class:`SimulationDiverged` if the state leaves the finite
-    range.
+    The scenario's inputs were checked when it was built, so the only
+    error raised here is :class:`SimulationDiverged`, when the state
+    leaves the finite range.
     """
     sc = scenario
     model = sc.model
-    if not model.symmetry:
-        raise ValueError(
-            "scenario model violates symmetric-design assumptions: "
-            + "; ".join(model.symmetry.violations)
-        )
     n = sc.n_steps
     h = sc.step_size
     j_ay, j_k = model.j_ay, model.j_k
@@ -389,8 +387,6 @@ def integrate(scenario: Scenario) -> SimRecord:
     rec = np.empty((n + 1, len(COLUMNS)))
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
-    if not all(math.isfinite(v) for v in sc.initial_state):
-        raise ValueError("initial state must be finite")
 
     noise_on = sc.noise.enabled
     gauss = random.Random(sc.noise.seed).gauss

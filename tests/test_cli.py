@@ -234,6 +234,9 @@ class TestRunCommand:
                 "[platform]\nkind = custom-table\ntimes = 0, 1\np = 0, nan\nq = 0, 0\nr = 0, 0\n",
                 "platform p",
             ),
+            ("[initial]\nx1 = nan\n", "initial state x1 must be finite"),
+            ("[inertia]\npitch_xy = 0.001\n", "pitch product of inertia xy"),
+            ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments"),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, section, field):
@@ -244,6 +247,13 @@ class TestRunCommand:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "badout").exists()
+
+    def test_step_size_not_dividing_duration_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.0007", "--out", str(out)])
+        assert code == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_typo_exits_2_naming_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"

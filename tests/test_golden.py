@@ -99,6 +99,17 @@ def test_trace_digest(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 
+# SHA-256 of the stdout of ``gimbalsim verify all``: the text the
+# benchmark's check workload compares every round against.
+VERIFY_ALL = "90ec3b6354ff03dbc1f5fc7fc33f58765c3042b6cecf471a02f74d2d5330882b"
+
+
+def test_verify_all_output_digest(capsys):
+    assert cli.main(["verify", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL, out
+
+
 def test_near_lock_scenario_engages_guard():
     rec = sim.integrate(_scenario("near-lock-los-track"))
     assert rec.guard_active.any()

@@ -13,7 +13,6 @@ from gimbalsim.plant import (
     default_model,
     pitch_accel_drift,
     state_derivative,
-    validate_symmetry,
     yaw_accel_drift,
 )
 
@@ -34,28 +33,76 @@ class TestInertiaModel:
         assert MODEL.j_k == pytest.approx(0.0033, rel=1e-15)
 
     def test_default_model_is_symmetric_design(self):
-        report = validate_symmetry(MODEL)
-        assert report.passed
-        assert report.violations == ()
-        assert bool(report)
+        # construction would raise otherwise; a rebuild from the same
+        # matrices is accepted and equal
+        rebuilt = InertiaModel(pitch_gimbal=MODEL.pitch_gimbal, yaw_gimbal=MODEL.yaw_gimbal)
+        assert rebuilt == MODEL
 
     def test_product_of_inertia_violation(self):
         a = np.diag([0.003, 0.008, 0.003]).astype(float)
         a[0, 1] = a[1, 0] = 0.001
-        model = InertiaModel(pitch_gimbal=a, yaw_gimbal=np.diag([0.003, 0.006, 0.0003]))
-        report = validate_symmetry(model)
-        assert not report.passed
-        assert any("xy" in v for v in report.violations)
+        with pytest.raises(ValueError, match="pitch product of inertia xy = 0.001 != 0"):
+            InertiaModel(pitch_gimbal=a, yaw_gimbal=np.diag([0.003, 0.006, 0.0003]))
 
     def test_moment_balance_violation(self):
         # 0.003 + 0.003 != 0.005
-        model = InertiaModel(
-            pitch_gimbal=np.diag([0.003, 0.008, 0.003]),
-            yaw_gimbal=np.diag([0.003, 0.005, 0.0003]),
-        )
-        report = validate_symmetry(model)
-        assert not report.passed
-        assert any("moment" in v for v in report.violations)
+        with pytest.raises(ValueError, match="yaw y moment must equal yaw x"):
+            InertiaModel(
+                pitch_gimbal=np.diag([0.003, 0.008, 0.003]),
+                yaw_gimbal=np.diag([0.003, 0.005, 0.0003]),
+            )
+
+    def test_pitch_x_z_moment_violation(self):
+        with pytest.raises(ValueError, match="pitch x and z moments differ"):
+            InertiaModel(
+                pitch_gimbal=np.diag([0.003, 0.008, 0.004]),
+                yaw_gimbal=np.diag([0.003, 0.006, 0.0003]),
+            )
+
+    def test_lists_every_violation(self):
+        a = np.diag([0.003, 0.008, 0.004]).astype(float)
+        a[1, 2] = a[2, 1] = 2e-12
+        k = np.diag([0.003, 0.005, 0.0003]).astype(float)
+        k[0, 2] = k[2, 0] = -1e-3
+        with pytest.raises(ValueError, match="symmetric-design") as exc:
+            InertiaModel(pitch_gimbal=a, yaw_gimbal=k)
+        violations = str(exc.value).split(": ", 1)[1].split("; ")
+        assert [v.split(" = ")[0].split(":")[0] for v in violations] == [
+            "yaw product of inertia xz",
+            "pitch product of inertia yz",
+            "pitch x and z moments differ",
+            "yaw y moment must equal yaw x + pitch x moments",
+        ]
+
+    def test_design_tolerance_is_1e_12(self):
+        a = np.diag([0.003, 0.008, 0.003]).astype(float)
+        k = np.diag([0.003, 0.006, 0.0003]).astype(float)
+        a[0, 1] = a[1, 0] = 1e-12
+        InertiaModel(pitch_gimbal=a, yaw_gimbal=k)
+        a[0, 1] = a[1, 0] = 1.01e-12
+        with pytest.raises(ValueError, match="xy"):
+            InertiaModel(pitch_gimbal=a, yaw_gimbal=k)
+
+    def test_symmetry_tolerance_is_1e_15(self):
+        a = np.diag([0.003, 0.008, 0.003]).astype(float)
+        a[0, 1] = 1e-15  # mirror entry stays 0; within the design tolerance
+        InertiaModel(pitch_gimbal=a, yaw_gimbal=np.diag([0.003, 0.006, 0.0003]))
+        a[0, 1] = 2e-15
+        with pytest.raises(ValueError, match="pitch_gimbal must be symmetric"):
+            InertiaModel(pitch_gimbal=a, yaw_gimbal=np.diag([0.003, 0.006, 0.0003]))
+
+    @pytest.mark.parametrize(
+        "pitch, message",
+        [
+            (np.eye(2), r"pitch_gimbal must be 3x3, got \(2, 2\)"),
+            (np.diag([0.003, math.inf, 0.003]), "pitch_gimbal has non-finite entries"),
+            (np.diag([0.003, math.nan, 0.003]), "pitch_gimbal has non-finite entries"),
+        ],
+        ids=["shape", "inf", "nan"],
+    )
+    def test_rejects_bad_matrix_naming_it(self, pitch, message):
+        with pytest.raises(ValueError, match=message):
+            InertiaModel(pitch_gimbal=pitch, yaw_gimbal=np.diag([0.003, 0.006, 0.0003]))
 
     def test_rejects_asymmetric_matrix(self):
         bad = np.diag([0.003, 0.008, 0.003]).astype(float)
@@ -191,14 +238,3 @@ class TestStateDerivative:
             state_derivative(
                 0.0, GimbalState(math.nan, 0.0, 0.0, 0.0), ZERO_U, BODY_AT_REST, MODEL
             )
-
-    def test_rejects_asymmetric_model_unless_waived(self):
-        model = InertiaModel(
-            pitch_gimbal=np.diag([0.003, 0.008, 0.004]),  # x != z moment
-            yaw_gimbal=np.diag([0.003, 0.006, 0.0003]),
-        )
-        state = GimbalState(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="symmetric"):
-            state_derivative(0.0, state, ZERO_U, BODY_AT_REST, model)
-        d = state_derivative(0.0, state, ZERO_U, BODY_AT_REST, model, require_symmetric=False)
-        assert d == GimbalState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

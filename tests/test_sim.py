@@ -155,6 +155,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(controller="open-loop", step_size=-1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", GimbalState._fields)
+    def test_non_finite_initial_state_rejected_naming_field(self, field, value):
+        x0 = GimbalState(0.0, 0.0, 0.0, 0.0)._replace(**{field: value})
+        with pytest.raises(ValueError, match=f"initial state {field} must be finite, got {value!r}"):
+            Scenario(controller="open-loop", initial_state=x0)
+
     def test_coarse_step_warning(self):
         with pytest.warns(UserWarning, match="coarse"):
             Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
@@ -180,8 +187,9 @@ class TestIntegrate:
         assert rec.n_rows == 501
 
     def test_rejects_non_integer_step_count(self):
+        # checked when the scenario is built, before integrate is reached
         with pytest.raises(ValueError, match="whole number"):
-            integrate(open_loop(1.0, 0.0003, GimbalState(0.0, 0.0, 0.0, 0.0)))
+            open_loop(1.0, 0.0003, GimbalState(0.0, 0.0, 0.0, 0.0))
 
     def test_drift_free_rates_stay_constant(self):
         rec = integrate(open_loop(2.0, 0.001, GimbalState(0.0, 0.3, 0.0, -0.2)))
