@@ -380,7 +380,7 @@ def emit_plots(record: SimRecord, outdir: Path) -> list[Path]:
     t = record.t
     stride = max(1, record.n_rows // 4000)
     ts = t[::stride]
-    body = [sc.platform.rates(float(x)) for x in ts]
+    body = sc.platform.sample(ts)
     paths = []
 
     def emit(name, title, ylabel, series, dashed=()):
@@ -393,9 +393,9 @@ def emit_plots(record: SimRecord, outdir: Path) -> list[Path]:
         "platform body rates",
         "rate [rad/s]",
         [
-            ("p", ts, np.array([b.p for b in body])),
-            ("q", ts, np.array([b.q for b in body])),
-            ("r", ts, np.array([b.r for b in body])),
+            ("p", ts, body[0]),
+            ("q", ts, body[1]),
+            ("r", ts, body[2]),
         ],
     )
     emit(
@@ -410,9 +410,8 @@ def emit_plots(record: SimRecord, outdir: Path) -> list[Path]:
     ]
     dashed = []
     if sc.controller in ("los-track", "pid"):
-        trq, trr = sc.ref_q.trajectory(), sc.ref_r.trajectory()
-        angle_series.append(("theta_q ref", ts, np.array([trq.value(float(x)) for x in ts])))
-        angle_series.append(("theta_r ref", ts, np.array([trr.value(float(x)) for x in ts])))
+        angle_series.append(("theta_q ref", ts, sc.ref_q.sample(ts)[0]))
+        angle_series.append(("theta_r ref", ts, sc.ref_r.sample(ts)[0]))
         dashed = ["theta_q ref", "theta_r ref"]
     emit("los_angles.svg", f"LOS angles ({sc.name})", "angle [rad]", angle_series, dashed)
     emit(
@@ -676,8 +675,7 @@ def run_metrics(record: SimRecord) -> dict[str, ChannelMetrics]:
     t = record.t
     out = {}
     for channel, ref in (("theta_q", sc.ref_q), ("theta_r", sc.ref_r)):
-        traj = ref.trajectory()
-        target = np.array([traj.value(float(x)) for x in t])
+        target = ref.sample(t)[0]
         e = target - record.col(channel)
         peak_ref = float(np.max(np.abs(target)))
         band = 0.02 * peak_ref if peak_ref > 0.0 else 0.02

@@ -125,6 +125,11 @@ class PlatformProfile:
     def rates(self, t: float) -> BodyRates:
         raise NotImplementedError
 
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``p, q, r, p_dot, q_dot, r_dot`` at every time in ``ts``, as
+        arrays; element ``i`` has the same bits as ``rates(ts[i])``."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class SinusoidalPlatform(PlatformProfile):
@@ -150,6 +155,12 @@ class SinusoidalPlatform(PlatformProfile):
             self.amp_r * self.omega_r * math.cos(self.omega_r * t),
         )
 
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        chans = ((self.amp_p, self.omega_p), (self.amp_q, self.omega_q), (self.amp_r, self.omega_r))
+        return tuple(a * np.sin(w * ts) for a, w in chans) + tuple(
+            (a * w) * np.cos(w * ts) for a, w in chans
+        )
+
 
 @dataclass(frozen=True)
 class ConstantPlatform(PlatformProfile):
@@ -163,6 +174,10 @@ class ConstantPlatform(PlatformProfile):
 
     def rates(self, t: float) -> BodyRates:
         return BodyRates(self.p, self.q, self.r)
+
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        zero = np.zeros(len(ts))
+        return tuple(np.full(len(ts), v) for v in (self.p, self.q, self.r)) + (zero,) * 3
 
 
 @dataclass(frozen=True)
@@ -205,6 +220,21 @@ class TablePlatform(PlatformProfile):
             p[i - 1] + w * dp, q[i - 1] + w * dq, r[i - 1] + w * dr, dp / dt, dq / dt, dr / dt
         )
 
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        # the arithmetic of rates(), one segment index per element
+        times, *chans = np.array((self.times, self.p, self.q, self.r), dtype=float)
+        i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
+        dt = times[i] - times[i - 1]
+        w = (ts - times[i - 1]) / dt
+        before, after = ts <= times[0], ts >= times[-1]
+        held = before | after
+        values, slopes = [], []
+        for ch in chans:
+            d = ch[i] - ch[i - 1]
+            values.append(np.where(before, ch[0], np.where(after, ch[-1], ch[i - 1] + w * d)))
+            slopes.append(np.where(held, 0.0, d / dt))
+        return (*values, *slopes)
+
 
 # ---------------------------------------------------------------------------
 # Reference trajectories
@@ -212,7 +242,8 @@ class TablePlatform(PlatformProfile):
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Declarative reference signal; ``trajectory()`` realizes it.
+    """Declarative reference signal; ``trajectory()`` realizes it as
+    scalar functions of t, ``sample(ts)`` on an array of times.
 
     Kinds: ``zero``; ``step`` (value ``amplitude`` on [t_on, t_off),
     zero outside, zero declared derivatives); ``sinusoid``
@@ -254,6 +285,19 @@ class ReferenceSpec:
             lambda t: -a * w * w * math.sin(w * t),
         )
 
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``value, d1, d2`` at every time in ``ts``, as arrays; element
+        ``i`` has the same bits as the ``trajectory()`` functions at
+        ``ts[i]``."""
+        zero = np.zeros(len(ts))
+        if self.kind == "zero":
+            return zero, zero, zero
+        if self.kind == "step":
+            on = (self.t_on <= ts) & (ts < self.t_off)
+            return np.where(on, self.amplitude, 0.0), zero, zero
+        a, w = self.amplitude, self.omega
+        return a * np.sin(w * ts), a * w * np.cos(w * ts), -a * w * w * np.sin(w * ts)
+
 
 # ---------------------------------------------------------------------------
 # Scenario
@@ -292,7 +336,15 @@ class Scenario:
                 f"duration {self.duration:g} must be a whole number of steps "
                 f"of {self.step_size:g}"
             )
-        for name, v in zip(GimbalState._fields, self.initial_state):
+        try:
+            state = GimbalState._make(self.initial_state)
+        except TypeError:  # not iterable, or not 6 values
+            raise ValueError(
+                f"initial_state must have the 6 fields {', '.join(GimbalState._fields)}, "
+                f"got {self.initial_state!r}"
+            ) from None
+        object.__setattr__(self, "initial_state", state)
+        for name, v in zip(GimbalState._fields, state):
             if not math.isfinite(v):
                 raise ValueError(f"initial state {name} must be finite, got {v!r}")
         if self.controller in ("stabilize", "rate-track", "los-track"):
@@ -366,15 +418,54 @@ class SimRecord:
 # Integration
 
 
+# Steps per block of time-only samples: platform rates and references
+# are computed with numpy for this many steps at a time, so memory stays
+# flat however long the run.
+_BLOCK = 256
+
+
+def _time_samples(sc: Scenario, los: bool):
+    """Yield, for each step k = 0..n of ``sc``, ``k``, ``t = k * h``, the
+    platform rates at ``t``, ``t + h / 2`` and ``t + h`` (6 values each)
+    and the reference terms ``ff_q, ff_r, ref_q, ref_r, pos_q, pos_r``
+    as Python floats, sampled with numpy ``_BLOCK`` steps at a time.
+
+    The laws differ only in their reference terms: the rate laws add
+    d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
+    c_pos (value - angle); ``pos`` is the reference value.
+    """
+    n, h = sc.n_steps, sc.step_size
+    half = 0.5 * h
+    spec_q, spec_r = sc.ref_q, sc.ref_r
+    if sc.controller == "stabilize":  # stabilization is rate tracking of zero
+        spec_q = spec_r = ReferenceSpec()
+    sample = sc.platform.sample
+    for k0 in range(0, n + 1, _BLOCK):
+        ts = np.arange(k0, min(k0 + _BLOCK, n + 1), dtype=float) * h
+        vq, d1q, d2q = spec_q.sample(ts)
+        vr, d1r, d2r = spec_r.sample(ts)
+        refs = (d2q, d2r, d1q, d1r) if los else (d1q, d1r, vq, vr)
+        # the platform at t, t + h/2 and t + h, in one call. A step never
+        # reuses the previous step's t + h as its t: k * h + h differs
+        # from (k + 1) * h for about a third of all k.
+        body = np.reshape(sample(np.concatenate((ts, ts + half, ts + h))), (6, 3, len(ts)))
+        cols = (ts, *body[:, 0], *body[:, 1], *body[:, 2], *refs, vq, vr)
+        yield from zip(range(k0, n + 1), *(c.tolist() for c in cols))
+
+
 def integrate(scenario: Scenario) -> SimRecord:
     """Run the scenario and return its trace.
 
     Classical RK4 at fixed step on the augmented six-state plant. The
     controller output and any noise draw are computed from the state at
     each macro-step and held constant across the stage evaluations.
-    The scenario's inputs were checked when it was built, so the only
-    error raised here is :class:`SimulationDiverged`, when the state
-    leaves the finite range.
+    The platform rates and the references depend on time only; they
+    come from ``sample`` in blocks of ``_BLOCK`` steps, at the times
+    ``k * h``, ``t + h / 2`` and ``t + h`` a per-step call would use,
+    so the trace has the same bits as one built from ``rates`` and
+    ``trajectory``. The scenario's inputs were checked when it was built,
+    so the only error raised here is :class:`SimulationDiverged`, when
+    the state leaves the finite range.
     """
     sc = scenario
     model = sc.model
@@ -383,7 +474,6 @@ def integrate(scenario: Scenario) -> SimRecord:
     j_ay, j_k = model.j_ay, model.j_k
     j_ratio = j_ay / j_k
     gthr = sc.guard.threshold
-    rates = sc.platform.rates
     rec = np.empty((n + 1, len(COLUMNS)))
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
@@ -393,28 +483,22 @@ def integrate(scenario: Scenario) -> SimRecord:
     sig_y, sig_z = sc.noise.sigma_y, sc.noise.sigma_z
 
     kind, gains, guard = sc.controller, sc.gains, sc.guard
-    traj_q, traj_r = sc.ref_q.trajectory(), sc.ref_r.trajectory()
-    if kind == "stabilize":  # stabilization is rate tracking of zero
-        traj_q = traj_r = ZERO_TRAJECTORY
     pid_params, pid_state = sc.pid, PidState()
     law = kind in ("stabilize", "rate-track", "los-track")
     los = kind == "los-track"
-    # The laws differ only in their reference terms: the rate laws add
-    # d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
-    # c_pos (value - angle), with gains (c1, c2) / (c1..c4).
     if los:
-        ff_q, ff_r, ref_q, ref_r = traj_q.d2, traj_r.d2, traj_q.d1, traj_r.d1
         kq, kr, kpq, kpr = gains.c1, gains.c3, gains.c2, gains.c4
     elif law:
-        ff_q, ff_r, ref_q, ref_r = traj_q.d1, traj_r.d1, traj_q.value, traj_r.value
         kq, kr = gains.c1, gains.c2
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     half = 0.5 * h
     sixth = h / 6.0
-    for k in range(n + 1):
-        t = k * h
-        p, q, r, p_dot, q_dot, r_dot = rates(t)
+    for (
+        k, t, p, q, r, p_dot, q_dot, r_dot,
+        pm, qm, rm, pdm, qdm, rdm, pn, qn, rn, pdn, qdn, rdn,
+        ff_q, ff_r, ref_q, ref_r, pos_q, pos_r,
+    ) in _time_samples(sc, los):
         # One sin/cos of x1 and x3 per step. The lines below are
         # kinematics.los_rates, plant.pitch_accel_drift/yaw_accel_drift
         # and control.azimuth_drift with the same operand order, so the
@@ -435,18 +519,18 @@ def integrate(scenario: Scenario) -> SimRecord:
                 + r_dot * cx1
             )
             # -elevation_drift == pitch drift exactly
-            v1 = f_pitch + ff_q(t) + kq * (ref_q(t) - q_a)
-            w2 = -f_az + ff_r(t) + kr * (ref_r(t) - r_a)
+            v1 = f_pitch + ff_q + kq * (ref_q - q_a)
+            w2 = -f_az + ff_r + kr * (ref_r - r_a)
             if los:
-                v1 += kpq * (traj_q.value(t) - tq)
-                w2 += kpr * (traj_r.value(t) - tr)
+                v1 += kpq * (pos_q - tq)
+                w2 += kpr * (pos_r - tr)
             v2 = w2 / guard_cos(cx1, guard)
             u1 = j_ay * (v1 - f_pitch)
             u2 = j_k * (v2 - f_yaw)
             ga = 1.0 if abs(cx1) < gthr else 0.0
         elif kind == "pid":
             (v1, v2), pid_state = pid_baseline(
-                t, traj_q.value(t) - tq, traj_r.value(t) - tr, pid_params, pid_state
+                t, pos_q - tq, pos_r - tr, pid_params, pid_state
             )
             u1, u2, ga = j_ay * v1, j_k * v2, 0.0
         else:  # open-loop
@@ -462,27 +546,26 @@ def integrate(scenario: Scenario) -> SimRecord:
 
         u1e = u1 + ny
         u2e = u2 + nz
-        # stage 1 reuses the step's trig: plant._rhs at (x, u + noise, body)
+        # stage 1 reuses the step's trig: plant._rhs at (x, u + noise, body);
+        # stages 2-3 take the platform at t + h/2, stage 4 at t + h
         a1, a2, a3, a4, a5, a6 = x2, u1e / j_ay + f_pitch, x4, u2e / j_k + f_yaw, q_a, r_a
         try:
-            bm = rates(t + half)
             b1, b2, b3, b4, b5, b6 = _rhs(
                 x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4,
                 u1e, u2e,
-                bm.p, bm.q, bm.r, bm.p_dot, bm.q_dot, bm.r_dot,
+                pm, qm, rm, pdm, qdm, rdm,
                 j_ay, j_k, j_ratio,
             )
             c1, c2, c3, c4, c5, c6 = _rhs(
                 x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4,
                 u1e, u2e,
-                bm.p, bm.q, bm.r, bm.p_dot, bm.q_dot, bm.r_dot,
+                pm, qm, rm, pdm, qdm, rdm,
                 j_ay, j_k, j_ratio,
             )
-            be = rates(t + h)
             d1, d2, d3, d4, d5, d6 = _rhs(
                 x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4,
                 u1e, u2e,
-                be.p, be.q, be.r, be.p_dot, be.q_dot, be.r_dot,
+                pn, qn, rn, pdn, qdn, rdn,
                 j_ay, j_k, j_ratio,
             )
         except (ValueError, OverflowError) as exc:

@@ -18,8 +18,14 @@ import pytest
 
 from gimbalsim import cli, sim
 from gimbalsim.control import ControlGains
-from gimbalsim.plant import GimbalState
-from gimbalsim.sim import ReferenceSpec, Scenario, SinusoidalPlatform, TablePlatform
+from gimbalsim.plant import GimbalState, NoiseSpec
+from gimbalsim.sim import (
+    ConstantPlatform,
+    ReferenceSpec,
+    Scenario,
+    SinusoidalPlatform,
+    TablePlatform,
+)
 
 DURATION = 2.0
 
@@ -63,6 +69,23 @@ def _extra_scenarios() -> dict[str, Scenario]:
             initial_state=GimbalState(0.1, 0.4, -0.2, 0.3),
             platform=SinusoidalPlatform(),
         ),
+        "constant-stabilize-noise": Scenario(
+            name="constant-stabilize-noise",
+            controller="stabilize",
+            duration=DURATION,
+            gains=ControlGains(3.0, 4.0),
+            initial_state=GimbalState(0.3, 0.2, -0.1, 0.2),
+            platform=ConstantPlatform(p=0.05, q=-0.1, r=0.2),
+            noise=NoiseSpec(enabled=True, seed=3),
+        ),
+        "pid-sinusoid": Scenario(
+            name="pid-sinusoid",
+            controller="pid",
+            duration=DURATION,
+            initial_state=GimbalState(0.1, 0.0, -0.2, 0.0),
+            ref_q=ReferenceSpec(kind="sinusoid", amplitude=0.4, omega=2.5),
+            ref_r=ReferenceSpec(kind="sinusoid", amplitude=0.3, omega=1.5),
+        ),
     }
 
 
@@ -84,6 +107,8 @@ GOLDEN = {
     "table-rate-track": "46750277b6a4deb1d2d545608d9c349c63c6044246b309295c457cd7a15eff2d",
     "near-lock-los-track": "12d40141fd6bb365a91cf15ed34709e1c53cd6f209df578474f9953cd3d7baef",
     "open-loop": "0ef7f458f8254c90f1a73afeb215fefa2109a2d3da7b50e8008bbeb34f6bd60b",
+    "constant-stabilize-noise": "1ef41b3820ccf63945ed336fe69a2f20ab6481ae7411601935e3587cf9f4725e",
+    "pid-sinusoid": "232e05d988665c8e4fb920ecba9d6e012cb3da8da9b26e12f34fcb5666b836da",
 }
 
 
@@ -97,6 +122,24 @@ def test_trace_digest(name, tmp_path):
     path = tmp_path / "trace.csv"
     cli.write_trace_csv(rec, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+# SVG charts that plot time-only inputs sampled at the trace times: the
+# platform rates and the reference angles (zero before the step of
+# fig4-step, a sinusoid in fig5-sin).
+GOLDEN_SVG = {
+    ("fig4-step", "platform.svg"): "1c6f3490e13cad4601bbfc1510a8e2c0e7fe17059a2a9aaf70a837ab9c768f7d",
+    ("fig4-step", "los_angles.svg"): "53fd9b8ece138e6df84b8030fc819b7ccd81cb313d3ba49b3a6cbfca49e0e094",
+    ("fig5-sin", "los_angles.svg"): "7724f4e3919a1c9486295d875395270cbb72145795c98df14ca42d07854f3d18",
+}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_SVG}))
+def test_svg_digest(name, tmp_path):
+    written = {p.name: p for p in cli.emit_plots(sim.integrate(_scenario(name)), tmp_path)}
+    for (preset_name, chart), digest in GOLDEN_SVG.items():
+        if preset_name == name:
+            assert hashlib.sha256(written[chart].read_bytes()).hexdigest() == digest, chart
 
 
 # SHA-256 of the stdout of ``gimbalsim verify all``: the text the

@@ -14,6 +14,7 @@ from gimbalsim.control import (
 from gimbalsim.kinematics import los_rates
 from gimbalsim.plant import GimbalState, NoiseSpec
 from gimbalsim.sim import (
+    _BLOCK,
     COLUMNS,
     ConstantPlatform,
     ReferenceSpec,
@@ -138,6 +139,90 @@ class TestReferences:
             ReferenceSpec(kind="step", amplitude=1.0, t_on=t_on, t_off=t_off)
 
 
+def _assert_same_bits(ts, got_cols, want_rows):
+    got = np.column_stack(got_cols)
+    want = np.array(want_rows, dtype=float)
+    assert got.shape == want.shape
+    bad = np.nonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))[0]
+    assert bad.size == 0, f"{bad.size} mismatches, first at t={ts[bad[0]]!r}"
+
+
+# The step grids integrate samples on (k h, k h + h/2, k h + h for a
+# 60 s run at 1 ms), plus random times in +-1e4 s.
+_GRID = np.arange(60001, dtype=float) * 1e-3
+_PROBES = np.concatenate(
+    (_GRID, _GRID + 0.5e-3, _GRID + 1e-3, np.random.default_rng(7).uniform(-1e4, 1e4, 20000))
+)
+
+
+class TestSample:
+    """``sample(ts)`` equals the scalar ``rates`` / ``trajectory`` path
+    bit for bit at every time."""
+
+    @staticmethod
+    def assert_platform_matches(platform, ts):
+        ts = np.asarray(ts, dtype=float)
+        want = [platform.rates(t) for t in ts.tolist()]
+        _assert_same_bits(ts, platform.sample(ts), want)
+
+    @staticmethod
+    def assert_reference_matches(spec, ts):
+        ts = np.asarray(ts, dtype=float)
+        traj = spec.trajectory()
+        want = [(traj.value(t), traj.d1(t), traj.d2(t)) for t in ts.tolist()]
+        _assert_same_bits(ts, spec.sample(ts), want)
+
+    @pytest.mark.parametrize(
+        "platform",
+        [SinusoidalPlatform(), SinusoidalPlatform(0.3, 2.7, -0.05, 11.0, 1e-3, 0.013), ConstantPlatform(0.1, -0.2, 0.3)],
+        ids=["preset", "custom", "constant"],
+    )
+    def test_platform(self, platform):
+        self.assert_platform_matches(platform, _PROBES)
+
+    def test_table_before_at_between_beside_and_beyond_breakpoints(self):
+        times = (-0.5, 0.0, 0.001, 0.0015, 0.1, 0.30000000000000004, 2.0)
+        tab = TablePlatform(
+            times,
+            p=(0.1, -0.2, 0.3, 0.25, -0.1, 0.0, 0.4),
+            q=(0.0, 0.0, 1e-3, 2e-3, -5.0, 5.0, 1.0),
+            r=(1.0, 0.7, 0.3, -0.3, 0.2, 0.1, 0.0),
+        )
+        probes = [-1e3, -0.75, 2.5, 1e3, 0.1 + 0.2]
+        probes += list(times)
+        probes += [0.5 * (a + b) for a, b in zip(times, times[1:])]
+        probes += [math.nextafter(t, d) for t in times for d in (math.inf, -math.inf)]
+        probes += (np.arange(3001) * 1e-3 - 0.7).tolist()
+        self.assert_platform_matches(tab, probes)
+
+    def test_table_with_one_segment(self):
+        tab = TablePlatform((1.0, 2.0), (0.0, 1.0), (2.0, 2.0), (-1.0, 3.0))
+        self.assert_platform_matches(tab, [0.0, 1.0, 1.25, math.nextafter(2.0, 0.0), 2.0, 9.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ReferenceSpec(),
+            ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25),
+            ReferenceSpec(kind="sinusoid", amplitude=-0.3, omega=7.5),
+            ReferenceSpec(kind="step", amplitude=math.pi / 6, t_on=5.0, t_off=25.0),
+        ],
+        ids=["zero", "preset-sinusoid", "sinusoid", "step"],
+    )
+    def test_reference(self, spec):
+        self.assert_reference_matches(spec, _PROBES)
+
+    def test_step_exactly_at_t_on_and_t_off(self):
+        spec = ReferenceSpec(kind="step", amplitude=0.2, t_on=0.5, t_off=1.5)
+        edges = [0.5, 1.5]
+        probes = edges + [math.nextafter(t, d) for t in edges for d in (math.inf, -math.inf)]
+        self.assert_reference_matches(spec, probes)
+        value = spec.sample(np.array(probes))[0].tolist()
+        assert value[:2] == [0.2, 0.0]
+        # an open window: t_off = inf
+        self.assert_reference_matches(ReferenceSpec(kind="step", amplitude=1.0, t_on=2.0), [2.0, 1e300])
+
+
 class TestScenarioValidation:
     def test_unknown_controller(self):
         with pytest.raises(ValueError, match="controller"):
@@ -161,6 +246,17 @@ class TestScenarioValidation:
         x0 = GimbalState(0.0, 0.0, 0.0, 0.0)._replace(**{field: value})
         with pytest.raises(ValueError, match=f"initial state {field} must be finite, got {value!r}"):
             Scenario(controller="open-loop", initial_state=x0)
+
+    @pytest.mark.parametrize("x0", [(0.1, 0.0, 0.0, 0.0), (0.0,) * 7, 0.1])
+    def test_initial_state_must_have_six_fields(self, x0):
+        with pytest.raises(ValueError, match="initial_state must have the 6 fields"):
+            Scenario(controller="open-loop", duration=0.01, initial_state=x0)
+
+    def test_six_value_initial_state_becomes_gimbal_state(self):
+        sc = Scenario(controller="open-loop", duration=0.01, initial_state=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert type(sc.initial_state) is GimbalState
+        assert sc.initial_state == GimbalState(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        assert integrate(sc).data[0, 1:7].tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
     def test_coarse_step_warning(self):
         with pytest.warns(UserWarning, match="coarse"):
@@ -285,6 +381,57 @@ class TestIntegrate:
             u = torques_from_virtual(v, t, st, body, sc.model)
             want = (*los_rates(st, body), *v, *u)
             assert [x.hex() for x in row[7:13]] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("controller", ["los-track", "pid"])
+    def test_block_boundaries_do_not_show_in_the_trace(self, controller, rows):
+        # a run of `rows` rows is the head of a longer run, bit for bit
+        h = 1e-3
+        long = Scenario(
+            controller=controller,
+            duration=(3 * _BLOCK + 10) * h,
+            step_size=h,
+            gains=ControlGains(8.0, 10.0, 6.0, 8.0),
+            initial_state=GimbalState(0.2, 0.1, -0.3, 0.05),
+            ref_q=ReferenceSpec(kind="sinusoid", amplitude=0.3, omega=1.5),
+            ref_r=ReferenceSpec(kind="step", amplitude=0.2, t_on=(_BLOCK - 0.5) * h, t_off=0.6),
+            noise=NoiseSpec(enabled=True, seed=11),
+        )
+        short = replace(long, duration=(rows - 1) * h)
+        assert short.n_steps + 1 == rows
+        head = integrate(long).data[:rows]
+        assert integrate(short).data.tobytes() == head.tobytes()
+
+    def test_integrate_samples_in_blocks_not_per_step(self):
+        # integrate must read time-only inputs through sample(); a
+        # fallback to per-step rates() or trajectory() calls fails here
+        class NoScalarPlatform(SinusoidalPlatform):
+            def rates(self, t):
+                raise AssertionError("integrate called rates() per step")
+
+        class NoScalarReference(ReferenceSpec):
+            def trajectory(self):
+                raise AssertionError("integrate called trajectory()")
+
+        sin_ref = dict(kind="sinusoid", amplitude=0.4, omega=2.5)
+        step_ref = dict(kind="step", amplitude=0.3, t_on=0.2, t_off=0.4)
+        for controller in ("stabilize", "rate-track", "los-track", "pid", "open-loop"):
+            plain = Scenario(
+                controller=controller,
+                duration=0.6,
+                gains=ControlGains(6.0, 8.0, 9.0, 10.0),
+                initial_state=GimbalState(0.1, 0.2, -0.1, 0.0),
+                ref_q=ReferenceSpec(**sin_ref),
+                ref_r=ReferenceSpec(**step_ref),
+                noise=NoiseSpec(enabled=True),
+            )
+            guarded = replace(
+                plain,
+                platform=NoScalarPlatform(),
+                ref_q=NoScalarReference(**sin_ref),
+                ref_r=NoScalarReference(**step_ref),
+            )
+            assert integrate(guarded).data.tobytes() == integrate(plain).data.tobytes(), controller
 
     def test_guard_flag_recorded(self, rec_fig5):
         # the sinusoid scenario passes near gimbal lock once
