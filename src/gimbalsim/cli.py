@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import functools
 import io
 import math
 import os
 import random
+import shutil
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_origin, get_type_hints
@@ -84,23 +88,89 @@ def _fmt(x: float) -> str:
 CSV_BLOCK_ROWS = 1024
 
 
+def _csv_blocks(data: np.ndarray):
+    """Yield the CSV rows of ``data`` as ASCII bytes, one block of
+    ``CSV_BLOCK_ROWS`` rows at a time.
+
+    ``"%.17g" % x`` gives the same bytes as ``format(x, ".17g")`` for
+    every float64, so a block is one ``%`` operation.
+    """
+    row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+    full_block = row * CSV_BLOCK_ROWS
+    for start in range(0, len(data), CSV_BLOCK_ROWS):
+        block = data[start : start + CSV_BLOCK_ROWS]
+        template = full_block if len(block) == CSV_BLOCK_ROWS else row * len(block)
+        yield (template % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _fork_formatter(rows: np.ndarray) -> tuple[int, int] | None:
+    """Fork a helper process that writes the CSV rows of ``rows`` to a
+    pipe. Returns its pid and the pipe's read end, or None if this
+    process has to format the rows itself: it cannot fork, or it runs
+    other threads, which a forked child could find holding a lock. A
+    forked helper reads ``rows`` from the copied address space; a
+    spawned one would import numpy again and get the rows pickled.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # The helper leaves only through os._exit: an exception must not
+        # run the parent's code (exit handlers, buffered output, a test
+        # runner) a second time. It formats everything before writing,
+        # because the parent reads the pipe only after its own half.
+        code = 1
+        try:
+            os.close(r)
+            blocks = list(_csv_blocks(rows))
+            with open(w, "wb") as pipe:
+                pipe.writelines(blocks)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
 def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     """Write the trace with a header row, 17 significant digits per
     value (lossless for float64), '.' decimal separator, newline
     terminated.
 
-    ``"%.17g" % x`` gives the same bytes as ``format(x, ".17g")`` for
-    every float64, so rows are formatted a block at a time.
+    A trace of at least ``2 * CSV_BLOCK_ROWS`` rows is formatted on two
+    cores: a forked helper formats the rows from a block boundary near
+    the middle on while this process formats the rows before it. The
+    bytes do not depend on the split. Raises OSError naming ``path`` if
+    the helper fails.
     """
     data = record.data
-    row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
-    full_block = row * CSV_BLOCK_ROWS
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(COLUMNS) + "\n")
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            block = data[start : start + CSV_BLOCK_ROWS]
-            template = full_block if len(block) == CSV_BLOCK_ROWS else row * len(block)
-            f.write(template % tuple(block.ravel().tolist()))
+    mid = (len(data) // 2 // CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
+    with open(path, "wb") as f:
+        f.write((",".join(COLUMNS) + "\n").encode("ascii"))
+        f.flush()  # a forked helper must not inherit buffered bytes
+        helper = _fork_formatter(data[mid:]) if mid else None
+        if helper is None:
+            f.writelines(_csv_blocks(data))
+            return
+        pid, r = helper
+        with open(r, "rb") as pipe:
+            try:
+                f.writelines(_csv_blocks(data[:mid]))
+                shutil.copyfileobj(pipe, f, 1 << 16)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        code = os.waitstatus_to_exitcode(status)
+        raise OSError(errno.EIO, f"formatting helper exited with status {code}", str(path))
 
 
 def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -727,13 +797,18 @@ def cmd_run(args) -> int:
     except SimulationDiverged as e:
         print(f"error: simulation diverged: {e}", file=sys.stderr)
         return 2
-    write_trace_csv(record, outdir / TRACE_FILENAME)
-    (outdir / RESOLVED_FILENAME).write_text(scenario_to_ini(record.scenario))
-    written = [outdir / TRACE_FILENAME, outdir / RESOLVED_FILENAME]
-    if args.plots:
-        written += emit_plots(record, outdir)
+    trace, resolved = outdir / TRACE_FILENAME, outdir / RESOLVED_FILENAME
+    try:
+        write_trace_csv(record, trace)
+        resolved.write_text(scenario_to_ini(record.scenario))
+        plots = emit_plots(record, outdir) if args.plots else []
+    except OSError as e:
+        # a failed write() names no file; the output directory is the
+        # closest thing the error can name then
+        print(f"error: cannot write {e.filename or outdir}: {e.strerror or e}", file=sys.stderr)
+        return 2
     print(f"{sc.name}: {record.n_rows} rows over {sc.duration:g}s (h={sc.step_size:g})")
-    for p in written:
+    for p in [trace, resolved, *plots]:
         print(f"  wrote {p}")
     return 0
 

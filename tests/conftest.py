@@ -1,6 +1,24 @@
+import os
+
 import pytest
 
 from gimbalsim import sim
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child_processes():
+    """Fail a test that leaves a child process running or unreaped,
+    such as a trace-formatting helper that was never waited for."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid:
+        pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
+    pytest.fail("the test left a child process running")
 
 
 @pytest.fixture(scope="session")

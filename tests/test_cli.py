@@ -1,7 +1,10 @@
+import errno
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +37,33 @@ def reference_write(data, path):
             f.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+def count_forks(monkeypatch):
+    """Wrap ``os.fork``; the returned list gets one entry per call."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def break_formatter(monkeypatch, in_helper):
+    """Make the CSV block formatter raise MemoryError in the forked
+    helper only (``in_helper``) or in this process only."""
+    parent = os.getpid()
+    real_blocks = cli._csv_blocks
+
+    def blocks(data):
+        if (os.getpid() != parent) == in_helper:
+            raise MemoryError("formatter failed")
+        return real_blocks(data)
+
+    monkeypatch.setattr(cli, "_csv_blocks", blocks)
+
+
 def codec_record(n_rows):
     rng = np.random.default_rng(n_rows)
     shape = (n_rows, len(sim.COLUMNS))
@@ -63,7 +93,11 @@ class TestTraceCsv:
         assert len(lines) == rec.n_rows + 1
         assert "," in lines[1] and "." in lines[1]
 
-    @pytest.mark.parametrize("n_rows", [1, B - 1, B, B + 1, 2 * B + 3])
+    # from 2B rows on a forked helper formats the rows after the split;
+    # at 4B + 3 its half ends in a partial block
+    @pytest.mark.parametrize(
+        "n_rows", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, 4 * B + 3]
+    )
     def test_block_writer_matches_per_value_reference(self, tmp_path, n_rows):
         rec = codec_record(n_rows)
         cli.write_trace_csv(rec, tmp_path / "block.csv")
@@ -73,6 +107,49 @@ class TestTraceCsv:
         assert header == sim.COLUMNS
         assert data.shape == rec.data.shape
         assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
+
+    @pytest.mark.parametrize("n_rows, forks", [(2 * B - 1, 0), (2 * B, 1), (4 * B + 3, 1)])
+    def test_helper_is_forked_from_two_blocks_on(self, tmp_path, monkeypatch, n_rows, forks):
+        calls = count_forks(monkeypatch)
+        cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
+        assert len(calls) == forks
+
+    def test_no_helper_while_another_thread_runs(self, tmp_path, monkeypatch):
+        calls = count_forks(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            rec = codec_record(2 * B + 1)
+            cli.write_trace_csv(rec, tmp_path / "trace.csv")
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert not calls
+        _, data = cli.read_trace_csv(tmp_path / "trace.csv")
+        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
+
+    def test_no_helper_when_fork_fails(self, tmp_path, monkeypatch):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        rec = codec_record(2 * B + 1)
+        cli.write_trace_csv(rec, tmp_path / "trace.csv")
+        reference_write(rec.data, tmp_path / "reference.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
+    )
+    def test_failure_on_either_side_leaves_no_child(self, tmp_path, monkeypatch, in_helper, error):
+        break_formatter(monkeypatch, in_helper)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(error, match=re.escape(str(path)) if in_helper else None):
+            cli.write_trace_csv(codec_record(2 * B), path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("trailer", ["", "\n", " \n\n"], ids=["bare", "blank-line", "blank-lines"])
     def test_header_only_reads_as_empty_table(self, tmp_path, trailer):
@@ -277,6 +354,26 @@ class TestRunCommand:
         assert "fig3-stab: 3001 rows" in proc.stdout
         _, data = cli.read_trace_csv(tmp_path / "out" / "trace.csv")
         assert data.shape == (3001, len(sim.COLUMNS))
+
+    @pytest.mark.parametrize("blocked", ["trace.csv", "scenario.resolved", "rates.svg"])
+    def test_unwritable_artifact_exits_2_naming_it(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code = cli.main(
+            ["run", "--preset", "fig3-stab", "--step-size", "0.02", "--plots", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / blocked}: ")
+
+    def test_failed_helper_exits_2_naming_trace(self, tmp_path, capsys, monkeypatch):
+        # 3001 rows: long enough for the helper, which fails to format
+        break_formatter(monkeypatch, in_helper=True)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.02", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'trace.csv'}: formatting helper exited with status 1\n"
 
     def test_divergence_returns_nonzero(self, tmp_path, capsys):
         sc = Scenario(

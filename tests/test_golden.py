@@ -78,6 +78,8 @@ def _extra_scenarios() -> dict[str, Scenario]:
             platform=ConstantPlatform(p=0.05, q=-0.1, r=0.2),
             noise=NoiseSpec(enabled=True, seed=3),
         ),
+        # 6,001 rows: long enough that write_trace_csv forks its helper
+        "fig5-sin-noise-6s": replace(sim.preset("fig5-sin-noise"), duration=6.0),
         "pid-sinusoid": Scenario(
             name="pid-sinusoid",
             controller="pid",
@@ -109,6 +111,7 @@ GOLDEN = {
     "open-loop": "0ef7f458f8254c90f1a73afeb215fefa2109a2d3da7b50e8008bbeb34f6bd60b",
     "constant-stabilize-noise": "1ef41b3820ccf63945ed336fe69a2f20ab6481ae7411601935e3587cf9f4725e",
     "pid-sinusoid": "232e05d988665c8e4fb920ecba9d6e012cb3da8da9b26e12f34fcb5666b836da",
+    "fig5-sin-noise-6s": "0f84e7833d448e97a0759b3fd1909b1f6cc2e96f60427defbe19a1073c38863d",
 }
 
 
