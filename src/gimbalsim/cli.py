@@ -86,6 +86,12 @@ def _fmt(x: float) -> str:
 # hold more strings at once: writing a 60 s trace raises peak RSS by
 # about 19 MB with 16384-row blocks, by about 1 MB with 1024.
 CSV_BLOCK_ROWS = 1024
+# Rows from which ``write_trace_csv`` forks a formatting helper; more
+# than one block, so that both processes get rows. With the second core
+# free, the fork (about 5 ms) breaks even near 1,500 rows on a 2-vCPU
+# VM and wins in 18-24 of 25 alternating writes at 2,048 rows, in 20-25
+# of 25 from 4,096 rows on.
+CSV_FORK_MIN_ROWS = 4 * CSV_BLOCK_ROWS
 
 
 def _csv_blocks(data: np.ndarray):
@@ -103,15 +109,28 @@ def _csv_blocks(data: np.ndarray):
         yield (template % tuple(block.ravel().tolist())).encode("ascii")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fork_formatter(rows: np.ndarray) -> tuple[int, int] | None:
     """Fork a helper process that writes the CSV rows of ``rows`` to a
     pipe. Returns its pid and the pipe's read end, or None if this
-    process has to format the rows itself: it cannot fork, or it runs
-    other threads, which a forked child could find holding a lock. A
-    forked helper reads ``rows`` from the copied address space; a
-    spawned one would import numpy again and get the rows pickled.
+    process has to format the rows itself: it cannot fork, it may run
+    on one CPU only (the helper would only add the fork's cost), or it
+    runs other Python threads, one of which a forked child could find
+    holding a lock.
+
+    Native threads that Python does not know of, such as numpy's BLAS
+    pool, do not stop the fork: the helper calls no BLAS routine, only
+    ``tolist``, ``%``, ``encode`` and a pipe write, and glibc's malloc
+    resets its locks in the child of a ``fork``. A forked helper reads
+    ``rows`` from the copied address space; a spawned one would import
+    numpy again and get the rows pickled.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+    if not hasattr(os, "fork") or threading.active_count() != 1 or _usable_cpus() < 2:
         return None
     r, w = os.pipe()
     try:
@@ -143,18 +162,19 @@ def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     value (lossless for float64), '.' decimal separator, newline
     terminated.
 
-    A trace of at least ``2 * CSV_BLOCK_ROWS`` rows is formatted on two
-    cores: a forked helper formats the rows from a block boundary near
-    the middle on while this process formats the rows before it. The
+    A trace of at least ``CSV_FORK_MIN_ROWS`` rows is formatted on two
+    cores: a forked helper formats the rows from the block boundary at
+    or above the middle on while this process formats the rows before
+    it. The helper, which starts later, gets the smaller part. The
     bytes do not depend on the split. Raises OSError naming ``path`` if
     the helper fails.
     """
     data = record.data
-    mid = (len(data) // 2 // CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
+    mid = -(-len(data) // (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
     with open(path, "wb") as f:
         f.write((",".join(COLUMNS) + "\n").encode("ascii"))
         f.flush()  # a forked helper must not inherit buffered bytes
-        helper = _fork_formatter(data[mid:]) if mid else None
+        helper = _fork_formatter(data[mid:]) if len(data) >= CSV_FORK_MIN_ROWS else None
         if helper is None:
             f.writelines(_csv_blocks(data))
             return

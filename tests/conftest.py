@@ -21,6 +21,13 @@ def no_unreaped_child_processes():
     pytest.fail("the test left a child process running")
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let ``cli.write_trace_csv`` see two usable CPUs, so that a long
+    enough trace forks its formatting helper on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.fixture(scope="session")
 def rec_fig3():
     return sim.integrate(sim.preset("fig3-stab"))

@@ -27,6 +27,7 @@ def small_record():
 # the smallest subnormal, the largest finite float and an inexact decimal.
 SPECIAL_CELLS = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1)
 B = cli.CSV_BLOCK_ROWS
+F = cli.CSV_FORK_MIN_ROWS
 
 
 def reference_write(data, path):
@@ -73,6 +74,7 @@ def codec_record(n_rows):
     return sim.SimRecord(data, Scenario(controller="open-loop"))
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
         rec = small_record()
@@ -93,10 +95,11 @@ class TestTraceCsv:
         assert len(lines) == rec.n_rows + 1
         assert "," in lines[1] and "." in lines[1]
 
-    # from 2B rows on a forked helper formats the rows after the split;
-    # at 4B + 3 its half ends in a partial block
+    # from F rows on a forked helper formats the rows after the split;
+    # at F + B + 3 its part ends in a partial block
     @pytest.mark.parametrize(
-        "n_rows", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, 4 * B + 3]
+        "n_rows",
+        [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, F - 1, F, F + 1, F + B + 3],
     )
     def test_block_writer_matches_per_value_reference(self, tmp_path, n_rows):
         rec = codec_record(n_rows)
@@ -108,11 +111,33 @@ class TestTraceCsv:
         assert data.shape == rec.data.shape
         assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
 
-    @pytest.mark.parametrize("n_rows, forks", [(2 * B - 1, 0), (2 * B, 1), (4 * B + 3, 1)])
-    def test_helper_is_forked_from_two_blocks_on(self, tmp_path, monkeypatch, n_rows, forks):
+    @pytest.mark.parametrize("n_rows, forks", [(F - 1, 0), (F, 1), (F + B + 3, 1)])
+    def test_helper_is_forked_from_min_rows_on(self, tmp_path, monkeypatch, n_rows, forks):
         calls = count_forks(monkeypatch)
         cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
         assert len(calls) == forks
+
+    @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
+    def test_helper_gets_the_smaller_part_from_a_block_boundary(self, tmp_path, monkeypatch, n_rows):
+        parts = []
+        real_fork_formatter = cli._fork_formatter
+        monkeypatch.setattr(
+            cli, "_fork_formatter", lambda rows: parts.append(len(rows)) or real_fork_formatter(rows)
+        )
+        cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
+        [helper_rows] = parts
+        mid = n_rows - helper_rows  # the first block boundary at or above the middle
+        assert helper_rows > 0 and mid % B == 0 and mid - B < n_rows / 2 <= mid
+
+    def test_no_helper_on_one_cpu(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        calls = count_forks(monkeypatch)
+        rec = codec_record(F)
+        cli.write_trace_csv(rec, tmp_path / "trace.csv")
+        assert not calls
+        _, data = cli.read_trace_csv(tmp_path / "trace.csv")
+        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
 
     def test_no_helper_while_another_thread_runs(self, tmp_path, monkeypatch):
         calls = count_forks(monkeypatch)
@@ -120,7 +145,7 @@ class TestTraceCsv:
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            rec = codec_record(2 * B + 1)
+            rec = codec_record(F)
             cli.write_trace_csv(rec, tmp_path / "trace.csv")
         finally:
             release.set()
@@ -135,7 +160,7 @@ class TestTraceCsv:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
-        rec = codec_record(2 * B + 1)
+        rec = codec_record(F)
         cli.write_trace_csv(rec, tmp_path / "trace.csv")
         reference_write(rec.data, tmp_path / "reference.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -147,7 +172,7 @@ class TestTraceCsv:
         break_formatter(monkeypatch, in_helper)
         path = tmp_path / "trace.csv"
         with pytest.raises(error, match=re.escape(str(path)) if in_helper else None):
-            cli.write_trace_csv(codec_record(2 * B), path)
+            cli.write_trace_csv(codec_record(F), path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -355,6 +380,34 @@ class TestRunCommand:
         _, data = cli.read_trace_csv(tmp_path / "out" / "trace.csv")
         assert data.shape == (3001, len(sim.COLUMNS))
 
+    def test_helper_forks_beside_native_threads(self, tmp_path):
+        # With no *_NUM_THREADS limit numpy's BLAS library may run a
+        # thread pool that threading.active_count() does not see; the
+        # helper still forks there and the trace stays exact.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(src)
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from gimbalsim import cli, sim\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "data = np.random.default_rng(5).standard_normal((cli.CSV_FORK_MIN_ROWS, 16))\n"
+            "np.save(sys.argv[1], data)\n"
+            "cli.write_trace_csv(sim.SimRecord(data, sim.Scenario(controller='open-loop')), sys.argv[2])\n"
+            "print(len(forks))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data.npy"), str(tmp_path / "trace.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+        reference_write(np.load(tmp_path / "data.npy"), tmp_path / "reference.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     @pytest.mark.parametrize("blocked", ["trace.csv", "scenario.resolved", "rates.svg"])
     def test_unwritable_artifact_exits_2_naming_it(self, tmp_path, capsys, blocked):
         out = tmp_path / "out"
@@ -366,11 +419,12 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / blocked}: ")
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_failed_helper_exits_2_naming_trace(self, tmp_path, capsys, monkeypatch):
-        # 3001 rows: long enough for the helper, which fails to format
+        # 6001 rows: long enough for the helper, which fails to format
         break_formatter(monkeypatch, in_helper=True)
         out = tmp_path / "out"
-        code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.02", "--out", str(out)])
+        code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.01", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'trace.csv'}: formatting helper exited with status 1\n"

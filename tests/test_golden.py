@@ -79,6 +79,7 @@ def _extra_scenarios() -> dict[str, Scenario]:
             noise=NoiseSpec(enabled=True, seed=3),
         ),
         # 6,001 rows: long enough that write_trace_csv forks its helper
+        # (test_trace_digest lets it see two CPUs)
         "fig5-sin-noise-6s": replace(sim.preset("fig5-sin-noise"), duration=6.0),
         "pid-sinusoid": Scenario(
             name="pid-sinusoid",
@@ -120,6 +121,7 @@ def test_golden_covers_every_preset():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.usefixtures("two_cpus")
 def test_trace_digest(name, tmp_path):
     rec = sim.integrate(_scenario(name))
     path = tmp_path / "trace.csv"
