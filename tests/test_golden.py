@@ -158,6 +158,36 @@ def test_verify_all_output_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL, out
 
 
+# SHA-256 of each preset's INI form and of the ``gimbalsim presets``
+# listing. The trace digests cannot see fields that never reach the
+# trace: the PID gains of the non-PID presets, a guard threshold the run
+# never reaches, the x moments of inertia (only j_ay and j_k enter the
+# dynamics) and the description text.
+GOLDEN_PRESET_INI = {
+    "fig3-stab": "5e51d1442e822a0657d9c06d55cd60492aa1aaaac414ec12369162750090a03c",
+    "fig3-stab-noise": "ad5f6d4056d74c39feb88561991306916e98178d19925ddc8d5377f640e8bf5f",
+    "fig4-step": "14a770162271f1f31b7f26ff34eb0f589cf2cc3bc96bd2d0d36f284f0e3320bf",
+    "fig4-step-noise": "1c5a7eca15f327f1a61773db21d0ae872c687200ab3f1a708e1ae5a3ef206c1c",
+    "fig4-step-pid": "4357e3a885020248dad2494fdcf3ad51baf8c52adf4d72d508e74ee46bd6d74e",
+    "fig5-sin": "c026ec99634fe926681087fda3a1475234efba638fb8c57fe49128490391eabe",
+    "fig5-sin-noise": "724266c12d47da71f692abb6d264a13d95f477476b66a91fa7e3a7d7e9f2e739",
+}
+PRESETS_LISTING = "4531c19f0baab1e19c5183980127c56a8c20cc02bdd288bc9d411679f6a4ab82"
+
+
+def test_preset_ini_digests():
+    assert tuple(GOLDEN_PRESET_INI) == sim.preset_names()
+    for name, digest in GOLDEN_PRESET_INI.items():
+        ini = cli.scenario_to_ini(sim.preset(name))
+        assert hashlib.sha256(ini.encode()).hexdigest() == digest, name
+
+
+def test_presets_listing_digest(capsys):
+    assert cli.main(["presets"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PRESETS_LISTING, out
+
+
 def test_near_lock_scenario_engages_guard():
     rec = sim.integrate(_scenario("near-lock-los-track"))
     assert rec.guard_active.any()
