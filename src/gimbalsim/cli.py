@@ -32,6 +32,7 @@ import signal
 import sys
 import threading
 from dataclasses import replace
+from html import escape
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_origin, get_type_hints
 
@@ -261,7 +262,7 @@ def scenario_to_ini(sc: Scenario) -> str:
     plat = sc.platform
     if _PLATFORMS.get(plat.kind) is not type(plat):
         raise ValueError(f"cannot serialize platform {type(plat).__name__}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["scenario"] = _ini_items(sc, _SCENARIO_KEYS)
     cp["platform"] = {"kind": plat.kind, **_ini_items(plat, _hints(type(plat)))}
     cp["inertia"] = {
@@ -323,7 +324,7 @@ def scenario_from_ini(text: str) -> Scenario:
     ``c2``, a ``custom-table`` platform all four of its channels. An
     unknown section or key raises ValueError naming it.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     for section in cp.sections():
         if section not in _SECTIONS:
@@ -418,7 +419,8 @@ def write_svg_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="13">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
+        f"{escape(title)}</text>",
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
     for tx in _nice_ticks(x0, x1):
@@ -436,11 +438,12 @@ def write_svg_chart(
             f'<text x="{ml - 9}" y="{Y + 4:.1f}" text-anchor="end">{ty:g}</text>'
         )
     out.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle">'
+        f"{escape(xlabel)}</text>"
     )
     out.append(
         f'<text x="20" y="{mt + ph / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {mt + ph / 2:.0f})">{ylabel}</text>'
+        f'transform="rotate(-90 20 {mt + ph / 2:.0f})">{escape(ylabel)}</text>'
     )
     for i, (label, x, y) in enumerate(series):
         x = np.asarray(x, float)
@@ -459,7 +462,7 @@ def write_svg_chart(
             f'<line x1="{lx}" y1="{lyy - 4}" x2="{lx + 26}" y2="{lyy - 4}" '
             f'stroke="{color}" stroke-width="2"{dash}/>'
         )
-        out.append(f'<text x="{lx + 32}" y="{lyy}">{label}</text>')
+        out.append(f'<text x="{lx + 32}" y="{lyy}">{escape(label)}</text>')
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n")
 
@@ -803,7 +806,7 @@ def _load_scenario(args) -> Scenario:
 def cmd_run(args) -> int:
     try:
         sc = _load_scenario(args)
-    except (UnknownPresetError, ValueError, OSError, KeyError, configparser.Error) as e:
+    except (ValueError, OSError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     outdir = _resolve_outdir(args.out, sc.name)

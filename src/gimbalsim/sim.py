@@ -22,7 +22,7 @@ import random
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -591,103 +591,59 @@ def integrate(scenario: Scenario) -> SimRecord:
 # Presets
 
 _STEP_ON, _STEP_OFF = 5.0, 25.0  # step window; epoch is a project choice
+_SIN25 = ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25)
+
+# Field groups the presets share; each preset adds its own fields.
+_STAB = dict(controller="stabilize", initial_state=GimbalState(0.0, 0.2, 0.0, 0.2))
+_STEP = dict(
+    ref_q=ReferenceSpec(kind="step", amplitude=math.pi / 6, t_on=_STEP_ON, t_off=_STEP_OFF),
+    ref_r=ReferenceSpec(kind="step", amplitude=math.pi / 3, t_on=_STEP_ON, t_off=_STEP_OFF),
+)
+_STEP_LOS = dict(_STEP, controller="los-track", gains=ControlGains(6.0, 8.0, 9.0, 10.0))
+_SIN_LOS = dict(
+    controller="los-track", gains=ControlGains(8.0, 10.0, 6.0, 8.0), ref_q=_SIN25, ref_r=_SIN25
+)
+_NOISE_ON = NoiseSpec(enabled=True)
+
+# name -> (description, Scenario fields); this order is preset_names()
+_PRESETS: dict[str, tuple[str, dict]] = {
+    "fig3-stab": (
+        "LOS rate stabilization from 0.2 rad/s initial rates, gains (3, 4)",
+        dict(_STAB, gains=ControlGains(3.0, 4.0)),
+    ),
+    "fig3-stab-noise": (
+        "stabilization with torque noise, raised gains (20, 16)",
+        dict(_STAB, gains=ControlGains(20.0, 16.0), noise=_NOISE_ON),
+    ),
+    "fig4-step": (
+        "LOS angle step tracking (pi/6 elevation, pi/3 azimuth, 20 s window), "
+        "gains (6, 8, 9, 10)",
+        _STEP_LOS,
+    ),
+    "fig4-step-noise": ("step tracking with torque noise", dict(_STEP_LOS, noise=_NOISE_ON)),
+    "fig4-step-pid": (
+        "step tracking with the PID baseline controller",
+        dict(_STEP, controller="pid"),
+    ),
+    "fig5-sin": (
+        "LOS angle sinusoid tracking, sin(pi t/25) both channels, gains (8, 10, 6, 8)",
+        _SIN_LOS,
+    ),
+    "fig5-sin-noise": ("sinusoid tracking with torque noise", dict(_SIN_LOS, noise=_NOISE_ON)),
+}
 
 
-def _presets() -> dict[str, tuple[str, Callable[[], Scenario]]]:
-    sin25 = ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25)
-    step_q = ReferenceSpec(
-        kind="step", amplitude=math.pi / 6, t_on=_STEP_ON, t_off=_STEP_OFF
-    )
-    step_r = ReferenceSpec(
-        kind="step", amplitude=math.pi / 3, t_on=_STEP_ON, t_off=_STEP_OFF
-    )
-    stab_x0 = GimbalState(0.0, 0.2, 0.0, 0.2)
-    noise_on = NoiseSpec(enabled=True)
-    return {
-        "fig3-stab": (
-            "LOS rate stabilization from 0.2 rad/s initial rates, gains (3, 4)",
-            lambda: Scenario(
-                name="fig3-stab",
-                controller="stabilize",
-                gains=ControlGains(3.0, 4.0),
-                initial_state=stab_x0,
-            ),
-        ),
-        "fig3-stab-noise": (
-            "stabilization with torque noise, raised gains (20, 16)",
-            lambda: Scenario(
-                name="fig3-stab-noise",
-                controller="stabilize",
-                gains=ControlGains(20.0, 16.0),
-                initial_state=stab_x0,
-                noise=noise_on,
-            ),
-        ),
-        "fig4-step": (
-            "LOS angle step tracking (pi/6 elevation, pi/3 azimuth, 20 s window), "
-            "gains (6, 8, 9, 10)",
-            lambda: Scenario(
-                name="fig4-step",
-                controller="los-track",
-                gains=ControlGains(6.0, 8.0, 9.0, 10.0),
-                ref_q=step_q,
-                ref_r=step_r,
-            ),
-        ),
-        "fig4-step-noise": (
-            "step tracking with torque noise",
-            lambda: Scenario(
-                name="fig4-step-noise",
-                controller="los-track",
-                gains=ControlGains(6.0, 8.0, 9.0, 10.0),
-                ref_q=step_q,
-                ref_r=step_r,
-                noise=noise_on,
-            ),
-        ),
-        "fig4-step-pid": (
-            "step tracking with the PID baseline controller",
-            lambda: Scenario(
-                name="fig4-step-pid",
-                controller="pid",
-                ref_q=step_q,
-                ref_r=step_r,
-            ),
-        ),
-        "fig5-sin": (
-            "LOS angle sinusoid tracking, sin(pi t/25) both channels, "
-            "gains (8, 10, 6, 8)",
-            lambda: Scenario(
-                name="fig5-sin",
-                controller="los-track",
-                gains=ControlGains(8.0, 10.0, 6.0, 8.0),
-                ref_q=sin25,
-                ref_r=sin25,
-            ),
-        ),
-        "fig5-sin-noise": (
-            "sinusoid tracking with torque noise",
-            lambda: Scenario(
-                name="fig5-sin-noise",
-                controller="los-track",
-                gains=ControlGains(8.0, 10.0, 6.0, 8.0),
-                ref_q=sin25,
-                ref_r=sin25,
-                noise=noise_on,
-            ),
-        ),
-    }
-
-
-_PRESETS = _presets()
+def _lookup(name: str) -> tuple[str, dict]:
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise UnknownPresetError(name) from None
 
 
 def preset(name: str) -> Scenario:
-    """The named bundled scenario; raises UnknownPresetError otherwise."""
-    try:
-        return _PRESETS[name][1]()
-    except KeyError:
-        raise UnknownPresetError(name) from None
+    """The named bundled scenario, built afresh on each call; raises
+    UnknownPresetError otherwise."""
+    return Scenario(name=name, **_lookup(name)[1])
 
 
 def preset_names() -> tuple[str, ...]:
@@ -695,10 +651,7 @@ def preset_names() -> tuple[str, ...]:
 
 
 def preset_description(name: str) -> str:
-    try:
-        return _PRESETS[name][0]
-    except KeyError:
-        raise UnknownPresetError(name) from None
+    return _lookup(name)[0]
 
 
 # ---------------------------------------------------------------------------

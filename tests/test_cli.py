@@ -8,6 +8,7 @@ import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ class TestScenarioConfig:
         for part in named:
             assert part in str(info.value)
 
+    def test_values_are_literal(self):
+        sc = Scenario(name="50% a&b", controller="open-loop")
+        ini = cli.scenario_to_ini(sc)
+        assert "name = 50% a&b\n" in ini
+        assert cli.scenario_from_ini(ini) == sc
+        assert cli.scenario_from_ini("[scenario]\nname = 50%%\n").name == "50%%"
+
     def test_minimal_config_uses_defaults(self):
         text = "[scenario]\nname = tiny\ncontroller = open-loop\nduration = 0.5\n"
         sc = cli.scenario_from_ini(text)
@@ -311,6 +319,17 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         _, data = cli.read_trace_csv(out / "trace.csv")
         assert data.shape[0] == 201
+
+    def test_config_name_with_markup_and_percent(self, tmp_path):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[scenario]\nname = 50% a&b<c\ncontroller = pid\nduration = 0.5\n")
+        out = tmp_path / "special"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--plots"]) == 0
+        resolved = cli.scenario_from_ini((out / "scenario.resolved").read_text())
+        assert resolved.name == "50% a&b<c"
+        for name in ("platform.svg", "rates.svg", "los_angles.svg", "torques.svg"):
+            title = ElementTree.parse(out / name).find("{http://www.w3.org/2000/svg}text").text
+            assert name == "platform.svg" or title.endswith("(50% a&b<c)"), title
 
     @pytest.mark.filterwarnings("ignore:step_size")
     def test_seed_override_lands_in_resolved_scenario(self, tmp_path):
