@@ -225,9 +225,10 @@ def _rhs(
     j_k: float,
     j_ratio: float,
 ) -> tuple[float, float, float, float, float, float]:
-    # Hot path: sim.integrate calls it for RK4 stages 2-4 and inlines
-    # stage 1 with the same operand order; tests/test_golden.py pins the
-    # resulting traces. u1/u2 already include any held noise torque.
+    # sim.integrate writes this arithmetic out for all four RK4 stages
+    # with the same operand order; tests/test_sim.py checks each step
+    # against RK4 composed from state_derivative, and tests/test_golden.py
+    # pins the traces. u1/u2 already include any held noise torque.
     s3, c3 = math.sin(x3), math.cos(x3)
     s1, c1 = math.sin(x1), math.cos(x1)
     dx2 = u1 / j_ay + (p_dot * s3 + x4 * p * c3 - q_dot * c3 + x4 * q * s3)

@@ -18,6 +18,7 @@ traces.
 from __future__ import annotations
 
 import math
+import os
 import random
 import warnings
 from bisect import bisect_left
@@ -31,17 +32,14 @@ from .control import (
     DesiredTrajectory,
     GuardSpec,
     PidParams,
-    PidState,
     ZERO_TRAJECTORY,
     guard_cos,
-    pid_baseline,
 )
 from .kinematics import BodyRates
 from .plant import (
     GimbalState,
     InertiaModel,
     NoiseSpec,
-    _rhs,
     default_model,
 )
 
@@ -221,17 +219,28 @@ class TablePlatform(PlatformProfile):
         )
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        # the arithmetic of rates(), one segment index per element
-        times, *chans = np.array((self.times, self.p, self.q, self.r), dtype=float)
+        # the arithmetic of rates(), one segment index per element. Only
+        # the breakpoints ts spans become arrays: every segment index lies
+        # in lo + 1 .. hi - 1, so searchsorted on times[lo:hi] finds the
+        # same segment as on the whole table, shifted by lo.
+        n = len(self.times)
+        lo, hi = 0, n  # for no times, or a NaN among them
+        if len(ts):
+            t0, t1 = float(ts.min()), float(ts.max())
+            if t0 <= t1:
+                lo = min(max(bisect_left(self.times, t0), 1), n - 1) - 1
+                hi = min(max(bisect_left(self.times, t1), 1), n - 1) + 1
+        table = (self.times, self.p, self.q, self.r)
+        times, *chans = np.array([col[lo:hi] for col in table], dtype=float)
         i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
         dt = times[i] - times[i - 1]
         w = (ts - times[i - 1]) / dt
-        before, after = ts <= times[0], ts >= times[-1]
+        before, after = ts <= self.times[0], ts >= self.times[-1]
         held = before | after
         values, slopes = [], []
-        for ch in chans:
+        for ch, col in zip(chans, table[1:]):
             d = ch[i] - ch[i - 1]
-            values.append(np.where(before, ch[0], np.where(after, ch[-1], ch[i - 1] + w * d)))
+            values.append(np.where(before, col[0], np.where(after, col[-1], ch[i - 1] + w * d)))
             slopes.append(np.where(held, 0.0, d / dt))
         return (*values, *slopes)
 
@@ -322,6 +331,17 @@ class Scenario:
     pid: PidParams = PidParams()
 
     def __post_init__(self):
+        # the name is the run's output directory under the output root,
+        # and an INI value, which loses surrounding whitespace
+        name = self.name
+        if (
+            not isinstance(name, str) or name in ("", ".", "..")
+            or "/" in name or os.sep in name or name != name.strip()
+        ):
+            raise ValueError(
+                "scenario name must be a file name without path separators or "
+                f"surrounding whitespace, got {name!r}"
+            )
         if self.controller not in CONTROLLERS:
             raise ValueError(
                 f"unknown controller {self.controller!r}; valid: {', '.join(CONTROLLERS)}"
@@ -425,10 +445,12 @@ _BLOCK = 256
 
 
 def _time_samples(sc: Scenario, los: bool):
-    """Yield, for each step k = 0..n of ``sc``, ``k``, ``t = k * h``, the
-    platform rates at ``t``, ``t + h / 2`` and ``t + h`` (6 values each)
-    and the reference terms ``ff_q, ff_r, ref_q, ref_r, pos_q, pos_r``
-    as Python floats, sampled with numpy ``_BLOCK`` steps at a time.
+    """Yield, for each block of up to ``_BLOCK`` steps of ``sc``, its
+    first step ``k0`` and an iterator over the block's steps. Each step
+    ``k`` gives ``k``, ``t = k * h``, the platform rates at ``t``,
+    ``t + h / 2`` and ``t + h`` (6 values each) and the reference terms
+    ``ff_q, ff_r, ref_q, ref_r, pos_q, pos_r`` as Python floats, sampled
+    with numpy once per block.
 
     The laws differ only in their reference terms: the rate laws add
     d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
@@ -450,7 +472,7 @@ def _time_samples(sc: Scenario, los: bool):
         # from (k + 1) * h for about a third of all k.
         body = np.reshape(sample(np.concatenate((ts, ts + half, ts + h))), (6, 3, len(ts)))
         cols = (ts, *body[:, 0], *body[:, 1], *body[:, 2], *refs, vq, vr)
-        yield from zip(range(k0, n + 1), *(c.tolist() for c in cols))
+        yield k0, zip(range(k0, n + 1), *(c.tolist() for c in cols))
 
 
 def integrate(scenario: Scenario) -> SimRecord:
@@ -463,9 +485,11 @@ def integrate(scenario: Scenario) -> SimRecord:
     come from ``sample`` in blocks of ``_BLOCK`` steps, at the times
     ``k * h``, ``t + h / 2`` and ``t + h`` a per-step call would use,
     so the trace has the same bits as one built from ``rates`` and
-    ``trajectory``. The scenario's inputs were checked when it was built,
-    so the only error raised here is :class:`SimulationDiverged`, when
-    the state leaves the finite range.
+    ``trajectory``. Each block's rows are collected in one flat list
+    and stored in the record with one slice assignment. The scenario's
+    inputs were checked when it was built, so the only error raised
+    here is :class:`SimulationDiverged`, when the state leaves the
+    finite range.
     """
     sc = scenario
     model = sc.model
@@ -475,6 +499,7 @@ def integrate(scenario: Scenario) -> SimRecord:
     j_ratio = j_ay / j_k
     gthr = sc.guard.threshold
     rec = np.empty((n + 1, len(COLUMNS)))
+    flat, ncol = rec.reshape(-1), len(COLUMNS)  # flat is a view of rec
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
 
@@ -483,106 +508,133 @@ def integrate(scenario: Scenario) -> SimRecord:
     sig_y, sig_z = sc.noise.sigma_y, sc.noise.sigma_z
 
     kind, gains, guard = sc.controller, sc.gains, sc.guard
-    pid_params, pid_state = sc.pid, PidState()
     law = kind in ("stabilize", "rate-track", "los-track")
     los = kind == "los-track"
     if los:
         kq, kr, kpq, kpr = gains.c1, gains.c3, gains.c2, gains.c4
     elif law:
         kq, kr = gains.c1, gains.c2
+    # control.pid_baseline's memory (PidState) as local floats; a step
+    # k > 0 stands in for its primed flag
+    pid = sc.pid
+    kp_q, ki_q, kd_q, kp_r, ki_r, kd_r = pid.kp_q, pid.ki_q, pid.kd_q, pid.kp_r, pid.ki_r, pid.kd_r
+    t_prev = int_q = int_r = prev_eq = prev_er = 0.0
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     half = 0.5 * h
     sixth = h / 6.0
-    for (
-        k, t, p, q, r, p_dot, q_dot, r_dot,
-        pm, qm, rm, pdm, qdm, rdm, pn, qn, rn, pdn, qdn, rdn,
-        ff_q, ff_r, ref_q, ref_r, pos_q, pos_r,
-    ) in _time_samples(sc, los):
-        # One sin/cos of x1 and x3 per step. The lines below are
-        # kinematics.los_rates, plant.pitch_accel_drift/yaw_accel_drift
-        # and control.azimuth_drift with the same operand order, so the
-        # trace is bit-identical to composing those functions.
-        sx1, cx1 = sin(x1), cos(x1)
-        sx3, cx3 = sin(x3), cos(x3)
-        q_a = -p * sx3 + q * cx3 + x2
-        r_a = p * cx3 * sx1 + q * sx3 * sx1 + r * cx1 + x4 * cx1
-        pq_cx3 = p * cx3 + q * sx3
-        f_pitch = p_dot * sx3 + x4 * p * cx3 - q_dot * cx3 + x4 * q * sx3
-        f_yaw = -r_dot - j_ratio * pq_cx3 * q_a
-        if law:
-            f_az = (
-                (p_dot * cx3 - x4 * p * sx3 + q_dot * sx3 + x4 * q * cx3) * sx1
-                + pq_cx3 * x2 * cx1
-                - x2 * r * sx1
-                - x2 * x4 * sx1
-                + r_dot * cx1
-            )
-            # -elevation_drift == pitch drift exactly
-            v1 = f_pitch + ff_q + kq * (ref_q - q_a)
-            w2 = -f_az + ff_r + kr * (ref_r - r_a)
-            if los:
-                v1 += kpq * (pos_q - tq)
-                w2 += kpr * (pos_r - tr)
-            v2 = w2 / guard_cos(cx1, guard)
-            u1 = j_ay * (v1 - f_pitch)
-            u2 = j_k * (v2 - f_yaw)
-            ga = 1.0 if abs(cx1) < gthr else 0.0
-        elif kind == "pid":
-            (v1, v2), pid_state = pid_baseline(
-                t, pos_q - tq, pos_r - tr, pid_params, pid_state
-            )
-            u1, u2, ga = j_ay * v1, j_k * v2, 0.0
-        else:  # open-loop
-            v1 = v2 = u1 = u2 = ga = 0.0
-        if noise_on:
-            ny = gauss(0.0, sig_y)
-            nz = gauss(0.0, sig_z)
-        else:
-            ny = nz = 0.0
-        rec[k] = (t, x1, x2, x3, x4, tq, tr, q_a, r_a, v1, v2, u1, u2, ga, ny, nz)
-        if k == n:
-            break
+    for k0, steps in _time_samples(sc, los):
+        rows = []  # the block's rows, flattened
+        for (
+            k, t, p, q, r, p_dot, q_dot, r_dot,
+            pm, qm, rm, pdm, qdm, rdm, pn, qn, rn, pdn, qdn, rdn,
+            ff_q, ff_r, ref_q, ref_r, pos_q, pos_r,
+        ) in steps:
+            # One sin/cos of x1 and x3 per step. The lines below are
+            # kinematics.los_rates, plant.pitch_accel_drift/yaw_accel_drift
+            # and control.azimuth_drift with the same operand order, so the
+            # trace is bit-identical to composing those functions.
+            sx1, cx1 = sin(x1), cos(x1)
+            sx3, cx3 = sin(x3), cos(x3)
+            q_a = -p * sx3 + q * cx3 + x2
+            r_a = p * cx3 * sx1 + q * sx3 * sx1 + r * cx1 + x4 * cx1
+            pq_cx3 = p * cx3 + q * sx3
+            f_pitch = p_dot * sx3 + x4 * p * cx3 - q_dot * cx3 + x4 * q * sx3
+            f_yaw = -r_dot - j_ratio * pq_cx3 * q_a
+            if law:
+                f_az = (
+                    (p_dot * cx3 - x4 * p * sx3 + q_dot * sx3 + x4 * q * cx3) * sx1
+                    + pq_cx3 * x2 * cx1
+                    - x2 * r * sx1
+                    - x2 * x4 * sx1
+                    + r_dot * cx1
+                )
+                # -elevation_drift == pitch drift exactly
+                v1 = f_pitch + ff_q + kq * (ref_q - q_a)
+                w2 = -f_az + ff_r + kr * (ref_r - r_a)
+                if los:
+                    v1 += kpq * (pos_q - tq)
+                    w2 += kpr * (pos_r - tr)
+                v2 = w2 / guard_cos(cx1, guard)
+                u1 = j_ay * (v1 - f_pitch)
+                u2 = j_k * (v2 - f_yaw)
+                ga = 1.0 if abs(cx1) < gthr else 0.0
+            elif kind == "pid":
+                # control.pid_baseline with the same operand order
+                e_q, e_r = pos_q - tq, pos_r - tr
+                if k and t > t_prev:
+                    dt = t - t_prev
+                    int_q = int_q + e_q * dt
+                    int_r = int_r + e_r * dt
+                    de_q = (e_q - prev_eq) / dt
+                    de_r = (e_r - prev_er) / dt
+                else:
+                    de_q = de_r = 0.0
+                v1 = kp_q * e_q + ki_q * int_q + kd_q * de_q
+                v2 = kp_r * e_r + ki_r * int_r + kd_r * de_r
+                t_prev, prev_eq, prev_er = t, e_q, e_r
+                u1, u2, ga = j_ay * v1, j_k * v2, 0.0
+            else:  # open-loop
+                v1 = v2 = u1 = u2 = ga = 0.0
+            if noise_on:
+                ny = gauss(0.0, sig_y)
+                nz = gauss(0.0, sig_z)
+            else:
+                ny = nz = 0.0
+            rows += (t, x1, x2, x3, x4, tq, tr, q_a, r_a, v1, v2, u1, u2, ga, ny, nz)
+            if k == n:
+                break
 
-        u1e = u1 + ny
-        u2e = u2 + nz
-        # stage 1 reuses the step's trig: plant._rhs at (x, u + noise, body);
-        # stages 2-3 take the platform at t + h/2, stage 4 at t + h
-        a1, a2, a3, a4, a5, a6 = x2, u1e / j_ay + f_pitch, x4, u2e / j_k + f_yaw, q_a, r_a
-        try:
-            b1, b2, b3, b4, b5, b6 = _rhs(
-                x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4,
-                u1e, u2e,
-                pm, qm, rm, pdm, qdm, rdm,
-                j_ay, j_k, j_ratio,
-            )
-            c1, c2, c3, c4, c5, c6 = _rhs(
-                x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4,
-                u1e, u2e,
-                pm, qm, rm, pdm, qdm, rdm,
-                j_ay, j_k, j_ratio,
-            )
-            d1, d2, d3, d4, d5, d6 = _rhs(
-                x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4,
-                u1e, u2e,
-                pn, qn, rn, pdn, qdn, rdn,
-                j_ay, j_k, j_ratio,
-            )
-        except (ValueError, OverflowError) as exc:
-            # trig of an overflowed stage state; same root cause as the
-            # post-step finiteness check
-            raise SimulationDiverged(t, GimbalState(x1, x2, x3, x4, tq, tr)) from exc
-        x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
-        x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
-        x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
-        x4 += sixth * (a4 + 2.0 * (b4 + c4) + d4)
-        tq += sixth * (a5 + 2.0 * (b5 + c5) + d5)
-        tr += sixth * (a6 + 2.0 * (b6 + c6) + d6)
-        if not (
-            isfinite(x1) and isfinite(x2) and isfinite(x3)
-            and isfinite(x4) and isfinite(tq) and isfinite(tr)
-        ):
-            raise SimulationDiverged(t + h, GimbalState(x1, x2, x3, x4, tq, tr))
+            # RK4 stages: plant._rhs at (x, u + noise, body), written out
+            # with its operand order. The inputs' accelerations u / J are
+            # the same for all four stages. Stage 1 reuses the step's
+            # trig; stages 2-3 take the platform at t + h/2, stage 4 at
+            # t + h. The shared LOS elevation rate term is computed once
+            # per stage, as q_a is above.
+            acc1 = (u1 + ny) / j_ay
+            acc2 = (u2 + nz) / j_k
+            a1, a2, a3, a4, a5, a6 = x2, acc1 + f_pitch, x4, acc2 + f_yaw, q_a, r_a
+            try:
+                y1, b1, y3, b3 = x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4
+                ss3, cc3 = sin(y3), cos(y3)
+                ss1, cc1 = sin(y1), cos(y1)
+                b5 = -pm * ss3 + qm * cc3 + b1
+                b2 = acc1 + (pdm * ss3 + b3 * pm * cc3 - qdm * cc3 + b3 * qm * ss3)
+                b4 = acc2 + (-rdm - j_ratio * (pm * cc3 + qm * ss3) * b5)
+                b6 = pm * cc3 * ss1 + qm * ss3 * ss1 + rm * cc1 + b3 * cc1
+
+                y1, c1, y3, c3 = x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4
+                ss3, cc3 = sin(y3), cos(y3)
+                ss1, cc1 = sin(y1), cos(y1)
+                c5 = -pm * ss3 + qm * cc3 + c1
+                c2 = acc1 + (pdm * ss3 + c3 * pm * cc3 - qdm * cc3 + c3 * qm * ss3)
+                c4 = acc2 + (-rdm - j_ratio * (pm * cc3 + qm * ss3) * c5)
+                c6 = pm * cc3 * ss1 + qm * ss3 * ss1 + rm * cc1 + c3 * cc1
+
+                y1, d1, y3, d3 = x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4
+                ss3, cc3 = sin(y3), cos(y3)
+                ss1, cc1 = sin(y1), cos(y1)
+                d5 = -pn * ss3 + qn * cc3 + d1
+                d2 = acc1 + (pdn * ss3 + d3 * pn * cc3 - qdn * cc3 + d3 * qn * ss3)
+                d4 = acc2 + (-rdn - j_ratio * (pn * cc3 + qn * ss3) * d5)
+                d6 = pn * cc3 * ss1 + qn * ss3 * ss1 + rn * cc1 + d3 * cc1
+            except (ValueError, OverflowError) as exc:
+                # trig of an overflowed stage state; same root cause as the
+                # post-step finiteness check
+                raise SimulationDiverged(t, GimbalState(x1, x2, x3, x4, tq, tr)) from exc
+            x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
+            x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
+            x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
+            x4 += sixth * (a4 + 2.0 * (b4 + c4) + d4)
+            tq += sixth * (a5 + 2.0 * (b5 + c5) + d5)
+            tr += sixth * (a6 + 2.0 * (b6 + c6) + d6)
+            if not (
+                isfinite(x1) and isfinite(x2) and isfinite(x3)
+                and isfinite(x4) and isfinite(tq) and isfinite(tr)
+            ):
+                raise SimulationDiverged(t + h, GimbalState(x1, x2, x3, x4, tq, tr))
+        flat[ncol * k0:ncol * k0 + len(rows)] = rows
+        del rows, steps  # free this block's floats before the next is sampled
 
     return SimRecord(rec, sc)
 

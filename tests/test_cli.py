@@ -252,6 +252,16 @@ class TestScenarioConfig:
         assert cli.scenario_from_ini(ini) == sc
         assert cli.scenario_from_ini("[scenario]\nname = 50%%\n").name == "50%%"
 
+    def test_name_round_trips_or_is_rejected(self):
+        # configparser strips a value's surrounding whitespace, so a name
+        # with it could not come back; such a name is refused up front
+        for name in ("a b", "tab\there", "two\nlines", "x = y", "#hash", "[x]", "ü"):
+            sc = Scenario(name=name, controller="open-loop")
+            assert cli.scenario_from_ini(cli.scenario_to_ini(sc)) == sc
+        for name in (" a", "a ", "\ta", "a\n"):
+            with pytest.raises(ValueError, match="scenario name"):
+                Scenario(name=name, controller="open-loop")
+
     def test_minimal_config_uses_defaults(self):
         text = "[scenario]\nname = tiny\ncontroller = open-loop\nduration = 0.5\n"
         sc = cli.scenario_from_ini(text)
@@ -368,6 +378,17 @@ class TestRunCommand:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "badout").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", ""])
+    def test_config_name_outside_output_root_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        # the name becomes a directory under $GIMBAL_OUT_DIR; one that
+        # would leave it, or is empty, is refused before anything is written
+        monkeypatch.setenv("GIMBAL_OUT_DIR", str(tmp_path / "root" / "runs"))
+        cfg = tmp_path / "escape.ini"
+        cfg.write_text(f"[scenario]\nname = {name}\ncontroller = open-loop\nduration = 0.1\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "scenario name" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
 
     def test_step_size_not_dividing_duration_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

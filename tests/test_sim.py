@@ -7,15 +7,18 @@ import pytest
 from gimbalsim.control import (
     ZERO_TRAJECTORY,
     ControlGains,
+    PidState,
     los_tracking_control,
+    pid_baseline,
     rate_tracking_control,
     torques_from_virtual,
 )
 from gimbalsim.kinematics import los_rates
-from gimbalsim.plant import GimbalState, NoiseSpec
+from gimbalsim.plant import GimbalState, NoiseSpec, TorqueCommand, state_derivative
 from gimbalsim.sim import (
     _BLOCK,
     COLUMNS,
+    CONTROLLERS,
     ConstantPlatform,
     ReferenceSpec,
     Scenario,
@@ -199,6 +202,49 @@ class TestSample:
         tab = TablePlatform((1.0, 2.0), (0.0, 1.0), (2.0, 2.0), (-1.0, 3.0))
         self.assert_platform_matches(tab, [0.0, 1.0, 1.25, math.nextafter(2.0, 0.0), 2.0, 9.0])
 
+    @staticmethod
+    def whole_table_sample(tab, ts):
+        # sample()'s arithmetic on arrays of every breakpoint
+        times, *chans = np.array((tab.times, tab.p, tab.q, tab.r), dtype=float)
+        i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
+        dt = times[i] - times[i - 1]
+        w = (ts - times[i - 1]) / dt
+        before, after = ts <= times[0], ts >= times[-1]
+        values = [np.where(before, ch[0], np.where(after, ch[-1], ch[i - 1] + w * (ch[i] - ch[i - 1]))) for ch in chans]
+        slopes = [np.where(before | after, 0.0, (ch[i] - ch[i - 1]) / dt) for ch in chans]
+        return (*values, *slopes)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # breakpoints on block edges (k = 256, 512) and between grid points
+            (-0.1, 0.0, 0.0005, 0.1, 0.256, 0.2565, 0.3, 0.512, 0.7, 0.9),
+            (0.3, 0.4),  # one segment, inside the run
+            (-2.0, 5.0),  # one segment, spanning the run
+        ],
+        ids=["block-edges", "one-segment", "one-segment-spanning"],
+    )
+    def test_table_on_the_breakpoints_it_spans_matches_whole_table(self, times):
+        # sample() converts only the breakpoints its times span; on the
+        # block grids of a run, past both table ends and on odd inputs it
+        # returns the bits of the same arithmetic on the whole table
+        rng = np.random.default_rng(3)
+        tab = TablePlatform(times, *(tuple(rng.uniform(-1.0, 1.0, len(times)).tolist()) for _ in range(3)))
+        h, n = 1e-3, 1000
+        grids = []
+        for k0 in range(0, n + 1, _BLOCK):
+            ts = np.arange(k0, min(k0 + _BLOCK, n + 1), dtype=float) * h
+            grids.append(np.concatenate((ts, ts + 0.5 * h, ts + h)))
+        grids += [
+            np.array([times[0]]), np.array([times[-1]]), np.array([]),
+            np.array([-1e3, -50.0]), np.array([50.0, 1e3]), np.array([1e3, -1e3, 0.35]),
+            np.array([math.nextafter(t, d) for t in times for d in (math.inf, -math.inf)]),
+            np.array([0.35, math.nan, -1e3]),
+        ]
+        for ts in grids:
+            got, want = tab.sample(ts), self.whole_table_sample(tab, ts)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], ts
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -261,6 +307,31 @@ class TestScenarioValidation:
     def test_coarse_step_warning(self):
         with pytest.warns(UserWarning, match="coarse"):
             Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
+
+
+# Platforms for the kernel oracle tests: time-varying, constant, and a
+# table whose breakpoints fall inside the runs and whose end value holds
+# after 0.4 s.
+_ORACLE_PLATFORMS = (
+    SinusoidalPlatform(0.3, 2.7, -0.2, 4.0, 0.25, 3.1),
+    ConstantPlatform(0.1, -0.2, 0.3),
+    TablePlatform((0.0, 0.1, 0.2565, 0.4), (0.0, 0.3, -0.2, 0.1), (0.1, -0.4, 0.0, 0.2), (0.2, 0.2, -0.3, 0.0)),
+)
+
+
+def _oracle_scenario(controller, platform, ref):
+    """A 0.5 s run (two sample blocks) that starts inside the guard band
+    and leaves it, with torque noise on."""
+    return Scenario(
+        controller=controller,
+        duration=0.5,
+        gains=ControlGains(6.0, 8.0, 9.0, 10.0),
+        initial_state=GimbalState(1.28, -0.6, -0.2, 0.1),
+        platform=platform,
+        ref_q=ref,
+        ref_r=ref,
+        noise=NoiseSpec(enabled=True, sigma_y=0.01, sigma_z=0.01, seed=5),
+    )
 
 
 class TestIntegrate:
@@ -353,34 +424,66 @@ class TestIntegrate:
         )
         assert np.array_equal(integrate(base).data, integrate(with_refs).data)
 
-    @pytest.mark.parametrize("controller", ["rate-track", "los-track"])
+    @pytest.mark.parametrize("controller", ["rate-track", "los-track", "stabilize", "pid"])
     def test_recorded_rows_match_public_functions(self, controller):
         # the fused step kernel reproduces los_rates, the laws and the
-        # torque map bit for bit, inside and outside the guard band
+        # torque map bit for bit, inside and outside the guard band, on
+        # every platform kind; the PID memory threads through every row
         ref = ReferenceSpec(kind="sinusoid", amplitude=0.5, omega=2.0)
-        sc = Scenario(
-            controller=controller,
-            duration=0.5,
-            gains=ControlGains(6.0, 8.0, 9.0, 10.0),
-            initial_state=GimbalState(1.28, -0.6, -0.2, 0.1),
-            ref_q=ref,
-            ref_r=ref,
-        )
-        rec = integrate(sc)
-        assert rec.guard_active.any() and not rec.guard_active.all()
         traj = ZERO_TRAJECTORY if controller == "stabilize" else ref.trajectory()
-        for row in rec.data[::7].tolist():
-            t, st = row[0], GimbalState(*row[1:7])
-            body = sc.platform.rates(t)
-            if controller == "los-track":
-                v = los_tracking_control(
-                    t, st, body, sc.gains, traj, traj, st.theta_q, st.theta_r, sc.guard
-                )
-            else:
-                v = rate_tracking_control(t, st, body, sc.gains, traj, traj, sc.guard)
-            u = torques_from_virtual(v, t, st, body, sc.model)
-            want = (*los_rates(st, body), *v, *u)
-            assert [x.hex() for x in row[7:13]] == [x.hex() for x in want]
+        for platform in _ORACLE_PLATFORMS:
+            sc = _oracle_scenario(controller, platform, ref)
+            rec = integrate(sc)
+            if controller in ("rate-track", "los-track"):
+                assert rec.guard_active.any() and not rec.guard_active.all()
+            pid = PidState()
+            for row in rec.data.tolist():
+                t, st = row[0], GimbalState(*row[1:7])
+                body = platform.rates(t)
+                if controller == "pid":
+                    v, pid = pid_baseline(
+                        t, traj.value(t) - st.theta_q, traj.value(t) - st.theta_r, sc.pid, pid
+                    )
+                    u = (sc.model.j_ay * v.v1, sc.model.j_k * v.v2)
+                else:
+                    if controller == "los-track":
+                        v = los_tracking_control(
+                            t, st, body, sc.gains, traj, traj, st.theta_q, st.theta_r, sc.guard
+                        )
+                    else:
+                        v = rate_tracking_control(t, st, body, sc.gains, traj, traj, sc.guard)
+                    u = torques_from_virtual(v, t, st, body, sc.model)
+                want = (*los_rates(st, body), *v, *u)
+                assert [x.hex() for x in row[7:13]] == [x.hex() for x in want], (platform, t)
+
+    @pytest.mark.parametrize("platform", _ORACLE_PLATFORMS, ids=["sinusoidal", "constant", "table"])
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_each_step_is_one_rk4_step_of_state_derivative(self, controller, platform):
+        # row k+1's state is classical RK4 from row k, composed from
+        # plant.state_derivative with row k's u + noise held over the
+        # step and the platform at t, t + h/2 and t + h, bit for bit
+        sc = _oracle_scenario(controller, platform, ReferenceSpec(kind="step", amplitude=0.3, t_on=0.2))
+        rec = integrate(sc)
+        assert rec.col("noise_y").any()
+        if controller in ("stabilize", "rate-track", "los-track"):
+            assert rec.guard_active.any() and not rec.guard_active.all()
+        h, model = sc.step_size, sc.model
+        half, sixth = 0.5 * h, h / 6.0
+        rows = rec.data.tolist()
+        for row, nxt in zip(rows, rows[1:]):
+            t, x = row[0], GimbalState(*row[1:7])
+            u, noise = TorqueCommand(row[11], row[12]), (row[14], row[15])
+            body0, body_mid, body_end = (platform.rates(s) for s in (t, t + half, t + h))
+
+            def f(state, body):
+                return state_derivative(t, GimbalState(*state), u, body, model, noise)
+
+            a = f(x, body0)
+            b = f([xi + half * ai for xi, ai in zip(x, a)], body_mid)
+            c = f([xi + half * bi for xi, bi in zip(x, b)], body_mid)
+            d = f([xi + h * ci for xi, ci in zip(x, c)], body_end)
+            want = [xi + sixth * (ai + 2.0 * (bi + ci) + di) for xi, ai, bi, ci, di in zip(x, a, b, c, d)]
+            assert [v.hex() for v in nxt[1:7]] == [v.hex() for v in want], t
 
     @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("controller", ["los-track", "pid"])
