@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import errno
 import functools
 import io
 import math
 import os
+import pickle
 import random
 import shutil
 import signal
@@ -116,20 +118,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_formatter(rows: np.ndarray) -> tuple[int, int] | None:
-    """Fork a helper process that writes the CSV rows of ``rows`` to a
-    pipe. Returns its pid and the pipe's read end, or None if this
-    process has to format the rows itself: it cannot fork, it may run
-    on one CPU only (the helper would only add the fork's cost), or it
-    runs other Python threads, one of which a forked child could find
-    holding a lock.
+def _fork_helper(produce: Callable[[], bytes]) -> tuple[int, int] | None:
+    """Fork a helper process that writes the bytes ``produce()`` returns
+    to a pipe. Returns its pid and the pipe's read end, to be passed to
+    :func:`_joined`, or None if this process has to call ``produce``
+    itself: it cannot fork, it may run on one CPU only (the helper would
+    only add the fork's cost), or it runs other Python threads, one of
+    which a forked child could find holding a lock.
 
     Native threads that Python does not know of, such as numpy's BLAS
-    pool, do not stop the fork: the helper calls no BLAS routine, only
-    ``tolist``, ``%``, ``encode`` and a pipe write, and glibc's malloc
-    resets its locks in the child of a ``fork``. A forked helper reads
-    ``rows`` from the copied address space; a spawned one would import
-    numpy again and get the rows pickled.
+    pool, do not stop the fork: ``produce`` must call no BLAS routine
+    (the CSV formatter calls ``tolist``, ``%`` and ``encode``, the
+    roundtrip suite scalar arithmetic), and glibc's malloc resets its
+    locks in the child of a ``fork``. A forked helper reads its inputs
+    from the copied address space; a spawned one would import numpy
+    again and get them pickled.
     """
     if not hasattr(os, "fork") or threading.active_count() != 1 or _usable_cpus() < 2:
         return None
@@ -143,19 +146,38 @@ def _fork_formatter(rows: np.ndarray) -> tuple[int, int] | None:
     if pid == 0:
         # The helper leaves only through os._exit: an exception must not
         # run the parent's code (exit handlers, buffered output, a test
-        # runner) a second time. It formats everything before writing,
-        # because the parent reads the pipe only after its own half.
+        # runner) a second time. It produces everything before writing,
+        # because the parent reads the pipe only after its own part.
         code = 1
         try:
             os.close(r)
-            blocks = list(_csv_blocks(rows))
+            data = produce()
             with open(w, "wb") as pipe:
-                pipe.writelines(blocks)
+                pipe.write(data)
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     return pid, r
+
+
+@contextlib.contextmanager
+def _joined(helper: tuple[int, int], what: str, filename: str | None = None):
+    """Yield a helper's pipe as a binary file, then reap the helper. Any
+    exception in the block, an interrupt too, kills and reaps it first;
+    a non-zero exit raises OSError (EIO) naming ``what`` and ``filename``."""
+    pid, r = helper
+    with open(r, "rb") as pipe:
+        try:
+            yield pipe
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        code = os.waitstatus_to_exitcode(status)
+        raise OSError(errno.EIO, f"{what} exited with status {code}", filename)
 
 
 def write_trace_csv(record: SimRecord, path: Path | str) -> None:
@@ -175,23 +197,15 @@ def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     with open(path, "wb") as f:
         f.write((",".join(COLUMNS) + "\n").encode("ascii"))
         f.flush()  # a forked helper must not inherit buffered bytes
-        helper = _fork_formatter(data[mid:]) if len(data) >= CSV_FORK_MIN_ROWS else None
+        helper = None
+        if len(data) >= CSV_FORK_MIN_ROWS:
+            helper = _fork_helper(lambda: b"".join(_csv_blocks(data[mid:])))
         if helper is None:
             f.writelines(_csv_blocks(data))
             return
-        pid, r = helper
-        with open(r, "rb") as pipe:
-            try:
-                f.writelines(_csv_blocks(data[:mid]))
-                shutil.copyfileobj(pipe, f, 1 << 16)
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                raise
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        code = os.waitstatus_to_exitcode(status)
-        raise OSError(errno.EIO, f"formatting helper exited with status {code}", str(path))
+        with _joined(helper, "formatting helper", str(path)) as pipe:
+            f.writelines(_csv_blocks(data[:mid]))
+            shutil.copyfileobj(pipe, f, 1 << 16)
 
 
 def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -743,7 +757,15 @@ def run_verify_suite(suite: str) -> list[CheckResult]:
     if suite == "oracle":
         return verify_oracle()
     if suite == "all":
-        return [verify_roundtrip(), *verify_decay(), *verify_oracle()]
+        # The roundtrip suite runs in a forked helper beside decay and
+        # oracle; its result comes back pickled by our own child.
+        helper = _fork_helper(lambda: pickle.dumps(verify_roundtrip()))
+        if helper is None:
+            return [verify_roundtrip(), *verify_decay(), *verify_oracle()]
+        with _joined(helper, "roundtrip helper") as pipe:
+            rest = [*verify_decay(), *verify_oracle()]
+            roundtrip = pipe.read()
+        return [pickle.loads(roundtrip), *rest]
     raise ValueError(f"unknown verify suite {suite!r}")
 
 
@@ -839,7 +861,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     try:
         results = run_verify_suite(args.suite)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     all_ok = True

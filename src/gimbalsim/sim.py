@@ -233,6 +233,7 @@ class TablePlatform(PlatformProfile):
         table = (self.times, self.p, self.q, self.r)
         times, *chans = np.array([col[lo:hi] for col in table], dtype=float)
         i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
+        i[np.isnan(ts)] = 1  # bisect_left in rates() stops at 1; searchsorted sorts NaN last
         dt = times[i] - times[i - 1]
         w = (ts - times[i - 1]) / dt
         before, after = ts <= self.times[0], ts >= self.times[-1]

@@ -23,8 +23,8 @@ def no_unreaped_child_processes():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let ``cli.write_trace_csv`` see two usable CPUs, so that a long
-    enough trace forks its formatting helper on any machine."""
+    """Let ``cli`` see two usable CPUs, so that ``verify all`` and a long
+    enough trace fork their helper on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 

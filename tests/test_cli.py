@@ -1,10 +1,13 @@
 import errno
+import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +20,7 @@ from gimbalsim import cli, sim
 from gimbalsim.control import ControlGains
 from gimbalsim.plant import GimbalState, NoiseSpec
 from gimbalsim.sim import ConstantPlatform, ReferenceSpec, Scenario, TablePlatform, integrate
+from test_golden import VERIFY_ALL
 
 
 def small_record():
@@ -52,18 +56,19 @@ def count_forks(monkeypatch):
     return calls
 
 
-def break_formatter(monkeypatch, in_helper):
-    """Make the CSV block formatter raise MemoryError in the forked
-    helper only (``in_helper``) or in this process only."""
+def break_in(monkeypatch, name, in_helper):
+    """Make ``cli.<name>``, such as the CSV block formatter, raise
+    MemoryError in the forked helper only (``in_helper``) or in this
+    process only."""
     parent = os.getpid()
-    real_blocks = cli._csv_blocks
+    real = getattr(cli, name)
 
-    def blocks(data):
+    def broken(*args):
         if (os.getpid() != parent) == in_helper:
-            raise MemoryError("formatter failed")
-        return real_blocks(data)
+            raise MemoryError(f"{name} failed")
+        return real(*args)
 
-    monkeypatch.setattr(cli, "_csv_blocks", blocks)
+    monkeypatch.setattr(cli, name, broken)
 
 
 def codec_record(n_rows):
@@ -120,57 +125,19 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
     def test_helper_gets_the_smaller_part_from_a_block_boundary(self, tmp_path, monkeypatch, n_rows):
-        parts = []
-        real_fork_formatter = cli._fork_formatter
-        monkeypatch.setattr(
-            cli, "_fork_formatter", lambda rows: parts.append(len(rows)) or real_fork_formatter(rows)
-        )
+        parts = []  # the helper's calls append in its own memory only
+        real_blocks = cli._csv_blocks
+        monkeypatch.setattr(cli, "_csv_blocks", lambda rows: parts.append(len(rows)) or real_blocks(rows))
         cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
-        [helper_rows] = parts
-        mid = n_rows - helper_rows  # the first block boundary at or above the middle
+        [mid] = parts  # the first block boundary at or above the middle
+        helper_rows = n_rows - mid
         assert helper_rows > 0 and mid % B == 0 and mid - B < n_rows / 2 <= mid
-
-    def test_no_helper_on_one_cpu(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        calls = count_forks(monkeypatch)
-        rec = codec_record(F)
-        cli.write_trace_csv(rec, tmp_path / "trace.csv")
-        assert not calls
-        _, data = cli.read_trace_csv(tmp_path / "trace.csv")
-        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
-
-    def test_no_helper_while_another_thread_runs(self, tmp_path, monkeypatch):
-        calls = count_forks(monkeypatch)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            rec = codec_record(F)
-            cli.write_trace_csv(rec, tmp_path / "trace.csv")
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        assert not calls
-        _, data = cli.read_trace_csv(tmp_path / "trace.csv")
-        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
-
-    def test_no_helper_when_fork_fails(self, tmp_path, monkeypatch):
-        def fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        rec = codec_record(F)
-        cli.write_trace_csv(rec, tmp_path / "trace.csv")
-        reference_write(rec.data, tmp_path / "reference.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
     )
     def test_failure_on_either_side_leaves_no_child(self, tmp_path, monkeypatch, in_helper, error):
-        break_formatter(monkeypatch, in_helper)
+        break_in(monkeypatch, "_csv_blocks", in_helper)
         path = tmp_path / "trace.csv"
         with pytest.raises(error, match=re.escape(str(path)) if in_helper else None):
             cli.write_trace_csv(codec_record(F), path)
@@ -205,6 +172,87 @@ class TestTraceCsv:
         path.write_text("a,b,c\n" + body)
         with pytest.raises(ValueError):
             cli.read_trace_csv(path)
+
+
+def write_trace(tmp_path, capsys):
+    """One user of the forked helper: a trace long enough for it, which
+    must match the per-value writer byte for byte."""
+    rec = codec_record(F)
+    cli.write_trace_csv(rec, tmp_path / "trace.csv")
+    reference_write(rec.data, tmp_path / "reference.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def verify_all(tmp_path, capsys):
+    """The other user: ``verify all``, whose stdout must not change."""
+    assert cli.main(["verify", "all"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestForkedHelper:
+    """The fork gate and the join shared by ``write_trace_csv`` and
+    ``verify all``."""
+
+    users = pytest.mark.parametrize("user", [write_trace, verify_all], ids=["trace-csv", "verify-all"])
+
+    def test_verify_all_forks_one_helper(self, tmp_path, capsys, monkeypatch):
+        calls = count_forks(monkeypatch)
+        verify_all(tmp_path, capsys)
+        assert len(calls) == 1
+
+    @users
+    def test_no_helper_on_one_cpu(self, tmp_path, capsys, monkeypatch, user):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        calls = count_forks(monkeypatch)
+        user(tmp_path, capsys)
+        assert not calls
+
+    @users
+    def test_no_helper_while_another_thread_runs(self, tmp_path, capsys, monkeypatch, user):
+        calls = count_forks(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            user(tmp_path, capsys)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert not calls
+
+    @users
+    def test_no_helper_when_fork_fails(self, tmp_path, capsys, monkeypatch, user):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        user(tmp_path, capsys)
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_failure_during_decay_kills_and_reaps_roundtrip_helper(self, monkeypatch, error):
+        # the helper would run for a minute; only the kill ends it
+        def decay():
+            raise error()
+
+        reaped = []
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            reaped.append(real_waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(cli, "verify_roundtrip", lambda: time.sleep(60))
+        monkeypatch.setattr(cli, "verify_decay", decay)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        calls = count_forks(monkeypatch)
+        with pytest.raises(error):
+            cli.run_verify_suite("all")
+        assert len(calls) == 1
+        [(_, status)] = reaped
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
 class TestScenarioConfig:
@@ -462,7 +510,7 @@ class TestRunCommand:
     @pytest.mark.usefixtures("two_cpus")
     def test_failed_helper_exits_2_naming_trace(self, tmp_path, capsys, monkeypatch):
         # 6001 rows: long enough for the helper, which fails to format
-        break_formatter(monkeypatch, in_helper=True)
+        break_in(monkeypatch, "_csv_blocks", in_helper=True)
         out = tmp_path / "out"
         code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.01", "--out", str(out)])
         assert code == 2
@@ -506,6 +554,14 @@ class TestVerifyCommand:
         assert cli.main(["verify", "decay"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_failed_helper_exits_2(self, capsys, monkeypatch):
+        break_in(monkeypatch, "verify_roundtrip", in_helper=True)
+        assert cli.main(["verify", "all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 5] roundtrip helper exited with status 1\n"
 
 
 class TestCompareCommand:

@@ -197,6 +197,9 @@ class TestSample:
         probes += [math.nextafter(t, d) for t in times for d in (math.inf, -math.inf)]
         probes += (np.arange(3001) * 1e-3 - 0.7).tolist()
         self.assert_platform_matches(tab, probes)
+        # rates() gives a NaN time the first segment's slopes
+        self.assert_platform_matches(tab, [math.nan])
+        self.assert_platform_matches(tab, [0.05, math.nan, 1e3, -math.nan, -1e3])
 
     def test_table_with_one_segment(self):
         tab = TablePlatform((1.0, 2.0), (0.0, 1.0), (2.0, 2.0), (-1.0, 3.0))
@@ -207,6 +210,7 @@ class TestSample:
         # sample()'s arithmetic on arrays of every breakpoint
         times, *chans = np.array((tab.times, tab.p, tab.q, tab.r), dtype=float)
         i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
+        i[np.isnan(ts)] = 1
         dt = times[i] - times[i - 1]
         w = (ts - times[i - 1]) / dt
         before, after = ts <= times[0], ts >= times[-1]
