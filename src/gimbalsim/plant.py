@@ -19,12 +19,12 @@ loop, once per integrator macro-step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import BodyRates
+from .kinematics import BodyRates, los_rates
 
 __all__ = [
     "GimbalState",
@@ -76,7 +76,8 @@ class InertiaModel:
     ``yaw_gimbal`` of the outer (yaw) gimbal, both in kg m^2. The pitch
     equation of motion uses ``j_ay`` (pitch-gimbal y moment); the yaw
     equation uses ``j_k`` (sum of both z moments, constant under the
-    symmetric-design assumptions).
+    symmetric-design assumptions). Both are float attributes set at
+    construction, not constructor arguments.
 
     Construction checks each matrix (3x3, finite, symmetric within
     1e-15, positive moments) and then the symmetric design within
@@ -88,6 +89,8 @@ class InertiaModel:
 
     pitch_gimbal: np.ndarray
     yaw_gimbal: np.ndarray
+    j_ay: float = field(init=False, repr=False)
+    j_k: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = []
@@ -125,6 +128,8 @@ class InertiaModel:
                 "inertia model violates the symmetric-design assumptions: "
                 + "; ".join(violations)
             )
+        object.__setattr__(self, "j_ay", a[1][1])
+        object.__setattr__(self, "j_k", k[2][2] + a[2][2])
 
     def __eq__(self, other):
         if not isinstance(other, InertiaModel):
@@ -132,16 +137,6 @@ class InertiaModel:
         return np.array_equal(self.pitch_gimbal, other.pitch_gimbal) and np.array_equal(
             self.yaw_gimbal, other.yaw_gimbal
         )
-
-    @property
-    def j_ay(self) -> float:
-        """Pitch-gimbal moment of inertia about its y-axis [kg m^2]."""
-        return float(self.pitch_gimbal[1, 1])
-
-    @property
-    def j_k(self) -> float:
-        """Yaw-channel inertia: outer z moment plus inner z moment [kg m^2]."""
-        return float(self.yaw_gimbal[2, 2] + self.pitch_gimbal[2, 2])
 
 
 @dataclass(frozen=True)
@@ -209,33 +204,19 @@ def yaw_accel_drift(
 
 
 def _rhs(
-    x1: float,
-    x2: float,
-    x3: float,
-    x4: float,
-    u1: float,
-    u2: float,
-    p: float,
-    q: float,
-    r: float,
-    p_dot: float,
-    q_dot: float,
-    r_dot: float,
-    j_ay: float,
-    j_k: float,
-    j_ratio: float,
+    x1: float, x2: float, x3: float, x4: float, u1: float, u2: float,
+    p: float, q: float, r: float, p_dot: float, q_dot: float, r_dot: float,
+    j_ay: float, j_k: float, j_ratio: float,
 ) -> tuple[float, float, float, float, float, float]:
-    # sim.integrate writes this arithmetic out for all four RK4 stages
-    # with the same operand order; tests/test_sim.py checks each step
-    # against RK4 composed from state_derivative, and tests/test_golden.py
-    # pins the traces. u1/u2 already include any held noise torque.
-    s3, c3 = math.sin(x3), math.cos(x3)
-    s1, c1 = math.sin(x1), math.cos(x1)
-    dx2 = u1 / j_ay + (p_dot * s3 + x4 * p * c3 - q_dot * c3 + x4 * q * s3)
-    dx4 = u2 / j_k + (-r_dot - j_ratio * (p * c3 + q * s3) * (-p * s3 + q * c3 + x2))
-    q_a = -p * s3 + q * c3 + x2
-    r_a = p * c3 * s1 + q * s3 * s1 + r * c1 + x4 * c1
-    return (x2, dx2, x4, dx4, q_a, r_a)
+    # state_derivative on 15 scalars (perfbench/tracing.py replays it by
+    # name); u1/u2 already include any held noise torque. sim.integrate
+    # writes the same arithmetic out for all four RK4 stages with the
+    # same operand order; tests/test_sim.py checks each step against RK4
+    # composed from state_derivative, and tests/test_golden.py pins the
+    # traces.
+    state, body = GimbalState(x1, x2, x3, x4), BodyRates(p, q, r, p_dot, q_dot, r_dot)
+    pitch, yaw = _accel_drifts(state, body, j_ratio)
+    return (x2, u1 / j_ay + pitch, x4, u2 / j_k + yaw, *los_rates(state, body))
 
 
 def state_derivative(
@@ -256,21 +237,6 @@ def state_derivative(
     values = (*state, *u, *body, *noise_torque)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("state_derivative requires finite state/input values")
-    d = _rhs(
-        state.x1,
-        state.x2,
-        state.x3,
-        state.x4,
-        u.u1 + noise_torque[0],
-        u.u2 + noise_torque[1],
-        body.p,
-        body.q,
-        body.r,
-        body.p_dot,
-        body.q_dot,
-        body.r_dot,
-        model.j_ay,
-        model.j_k,
-        model.j_ay / model.j_k,
-    )
-    return GimbalState(*d)
+    j_ay, j_k = model.j_ay, model.j_k
+    u1, u2 = u.u1 + noise_torque[0], u.u2 + noise_torque[1]
+    return GimbalState(*_rhs(*state[:4], u1, u2, *body, j_ay, j_k, j_ay / j_k))

@@ -23,6 +23,7 @@ import random
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from .plant import (
 __all__ = [
     "COLUMNS",
     "CONTROLLERS",
+    "MAX_STEPS",
     "SimulationDiverged",
     "UnknownPresetError",
     "PlatformProfile",
@@ -87,6 +89,10 @@ COLUMNS = (
 )
 
 CONTROLLERS = ("stabilize", "rate-track", "los-track", "pid", "open-loop")
+
+# Most steps a Scenario may take. integrate allocates the whole record up
+# front: n + 1 rows of len(COLUMNS) float64 values, 1.28 GB at the bound.
+MAX_STEPS = 10_000_000
 
 
 class SimulationDiverged(RuntimeError):
@@ -218,30 +224,24 @@ class TablePlatform(PlatformProfile):
             p[i - 1] + w * dp, q[i - 1] + w * dq, r[i - 1] + w * dr, dp / dt, dq / dt, dr / dt
         )
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        # times, p, q, r as one 4 x n array, built on the first sample()
+        return np.array((self.times, self.p, self.q, self.r), dtype=float)
+
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        # the arithmetic of rates(), one segment index per element. Only
-        # the breakpoints ts spans become arrays: every segment index lies
-        # in lo + 1 .. hi - 1, so searchsorted on times[lo:hi] finds the
-        # same segment as on the whole table, shifted by lo.
-        n = len(self.times)
-        lo, hi = 0, n  # for no times, or a NaN among them
-        if len(ts):
-            t0, t1 = float(ts.min()), float(ts.max())
-            if t0 <= t1:
-                lo = min(max(bisect_left(self.times, t0), 1), n - 1) - 1
-                hi = min(max(bisect_left(self.times, t1), 1), n - 1) + 1
-        table = (self.times, self.p, self.q, self.r)
-        times, *chans = np.array([col[lo:hi] for col in table], dtype=float)
+        # the arithmetic of rates(), one segment index per element
+        times, *chans = self._table
         i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
         i[np.isnan(ts)] = 1  # bisect_left in rates() stops at 1; searchsorted sorts NaN last
         dt = times[i] - times[i - 1]
         w = (ts - times[i - 1]) / dt
-        before, after = ts <= self.times[0], ts >= self.times[-1]
+        before, after = ts <= times[0], ts >= times[-1]
         held = before | after
         values, slopes = [], []
-        for ch, col in zip(chans, table[1:]):
+        for ch in chans:
             d = ch[i] - ch[i - 1]
-            values.append(np.where(before, col[0], np.where(after, col[-1], ch[i - 1] + w * d)))
+            values.append(np.where(before, ch[0], np.where(after, ch[-1], ch[i - 1] + w * d)))
             slopes.append(np.where(held, 0.0, d / dt))
         return (*values, *slopes)
 
@@ -351,6 +351,13 @@ class Scenario:
             raise ValueError("duration must be positive")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError("step_size must be positive")
+        steps = self.duration / self.step_size
+        if steps > MAX_STEPS + 0.5:  # n_steps rounds to more than MAX_STEPS
+            raise ValueError(
+                f"duration {self.duration:g} at step_size {self.step_size:g} is {steps:,.0f} "
+                f"steps, more than MAX_STEPS = {MAX_STEPS:,}; the record would take "
+                f"{(steps + 1) * 8 * len(COLUMNS):,.0f} bytes"
+            )
         n = self.n_steps
         if n < 1 or abs(n * self.step_size - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError(

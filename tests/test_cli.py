@@ -445,6 +445,14 @@ class TestRunCommand:
         assert "whole number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_step_count_exits_2_before_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "1e-9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "60,000,000,000 steps, more than MAX_STEPS" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_config_typo_exits_2_naming_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"
         cfg.write_text("[scenario]\nname = typo\ncontroler = stabilize\nduration = 0.1\n")

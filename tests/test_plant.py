@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,15 @@ torques = st.floats(min_value=-0.05, max_value=0.05, allow_nan=False)
 
 states = st.builds(GimbalState, angles, rates, angles, rates, angles, angles)
 bodies = st.builds(BodyRates, rates, rates, rates, rates, rates, rates)
+moments = st.floats(min_value=1e-4, max_value=0.1)
+
+
+@st.composite
+def models(draw):
+    """Symmetric designs: pitch diag(a, b, a), yaw diag(c, c + a, d)."""
+    a, b, c, d = (draw(moments) for _ in range(4))
+    return InertiaModel(pitch_gimbal=np.diag([a, b, a]), yaw_gimbal=np.diag([c, c + a, d]))
+
 
 MODEL = default_model()
 ZERO_U = TorqueCommand(0.0, 0.0)
@@ -31,6 +41,33 @@ class TestInertiaModel:
     def test_default_model_scalars(self):
         assert MODEL.j_ay == 0.008
         assert MODEL.j_k == pytest.approx(0.0033, rel=1e-15)
+
+    @given(models())
+    @settings(max_examples=50)
+    def test_scalars_are_floats_of_the_matrix_entries(self, model):
+        assert type(model.j_ay) is float and type(model.j_k) is float
+        assert model.j_ay == float(model.pitch_gimbal[1, 1])
+        assert model.j_k == float(model.yaw_gimbal[2, 2] + model.pitch_gimbal[2, 2])
+
+    def test_scalars_are_set_at_construction_only(self):
+        with pytest.raises(TypeError):
+            InertiaModel(MODEL.pitch_gimbal, MODEL.yaw_gimbal, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            InertiaModel(pitch_gimbal=MODEL.pitch_gimbal, yaw_gimbal=MODEL.yaw_gimbal, j_ay=1.0)
+        for name in ("j_ay", "j_k"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(MODEL, name, 1.0)
+        assert "j_ay" not in repr(MODEL) and "j_k" not in repr(MODEL)
+
+    def test_replace_recomputes_scalars(self):
+        heavier = dataclasses.replace(
+            MODEL,
+            pitch_gimbal=np.diag([0.003, 0.02, 0.003]),
+            yaw_gimbal=np.diag([0.003, 0.006, 0.0007]),
+        )
+        assert heavier.j_ay == 0.02
+        assert heavier.j_k == 0.0007 + 0.003
+        assert (MODEL.j_ay, MODEL.j_k) == (0.008, 0.0003 + 0.003)
 
     def test_default_model_is_symmetric_design(self):
         # construction would raise otherwise; a rebuild from the same
@@ -194,20 +231,22 @@ class TestStateDerivative:
         )
         assert d.x2 == 1.0
 
-    @given(states, bodies, torques, torques)
+    @given(states, bodies, torques, torques, models())
     @settings(max_examples=200)
-    def test_recomposition_from_public_operations(self, state, body, u1, u2):
+    def test_recomposition_from_public_operations(self, state, body, u1, u2, model):
+        # all six components, bit for bit, from the public drift and
+        # LOS-rate functions
         from gimbalsim.kinematics import los_rates
 
-        u = TorqueCommand(u1, u2)
-        d = state_derivative(0.0, state, u, body, MODEL)
-        q_a, r_a = los_rates(state, body)
-        assert d.x1 == state.x2
-        assert d.x3 == state.x4
-        assert d.x2 == u1 / MODEL.j_ay + pitch_accel_drift(0.0, state, body)
-        assert d.x4 == u2 / MODEL.j_k + yaw_accel_drift(0.0, state, body, MODEL)
-        assert d.theta_q == q_a
-        assert d.theta_r == r_a
+        d = state_derivative(0.0, state, TorqueCommand(u1, u2), body, model)
+        want = (
+            state.x2,
+            u1 / model.j_ay + pitch_accel_drift(0.0, state, body),
+            state.x4,
+            u2 / model.j_k + yaw_accel_drift(0.0, state, body, model),
+            *los_rates(state, body),
+        )
+        assert [v.hex() for v in d] == [v.hex() for v in want]
 
     def test_affine_in_torque_with_exact_slopes(self):
         state = GimbalState(0.3, -0.2, 1.1, 0.4)

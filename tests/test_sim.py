@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gimbalsim.sim import (
     _BLOCK,
     COLUMNS,
     CONTROLLERS,
+    MAX_STEPS,
     ConstantPlatform,
     ReferenceSpec,
     Scenario,
@@ -307,6 +309,28 @@ class TestScenarioValidation:
         assert type(sc.initial_state) is GimbalState
         assert sc.initial_state == GimbalState(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
         assert integrate(sc).data[0, 1:7].tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+
+    def test_step_count_bound(self):
+        # checked before anything of the run is allocated; the record of
+        # MAX_STEPS steps would take 1.28 GB
+        tracemalloc.start()
+        try:
+            assert Scenario(controller="open-loop", duration=MAX_STEPS, step_size=1.0).n_steps == MAX_STEPS
+            with pytest.raises(
+                ValueError,
+                match=r"duration 1e\+07 at step_size 1 is 10,000,001 steps, more than MAX_STEPS "
+                r"= 10,000,000; the record would take 1,280,000,256 bytes",
+            ):
+                Scenario(controller="open-loop", duration=MAX_STEPS + 1, step_size=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("duration, step", [(1e9, 1e-3), (60.0, 1e-9), (1e300, 1e-300)])
+    def test_oversized_scenario_rejected_naming_its_fields(self, duration, step):
+        with pytest.raises(ValueError, match="duration .* at step_size .* steps, more than MAX_STEPS.* bytes"):
+            Scenario(controller="open-loop", duration=duration, step_size=step)
 
     def test_coarse_step_warning(self):
         with pytest.warns(UserWarning, match="coarse"):
