@@ -52,11 +52,10 @@ from .plant import (
     pitch_accel_drift,
     yaw_accel_drift,
 )
-from .control import azimuth_drift, elevation_drift
+from .control import ZERO_TRAJECTORY, ReferenceSpec, azimuth_drift, elevation_drift
 from .sim import (
     COLUMNS,
     ConstantPlatform,
-    ReferenceSpec,
     Scenario,
     SimRecord,
     SimulationDiverged,
@@ -75,6 +74,9 @@ from .sim import (
 
 TRACE_FILENAME = "trace.csv"
 RESOLVED_FILENAME = "scenario.resolved"
+
+# controllers whose references are LOS angle targets
+ANGLE_TRACKING = ("los-track", "pid")
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +379,13 @@ def scenario_from_ini(text: str) -> Scenario:
 # SVG line charts (no plotting dependency)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
+_TICKS_PER_AXIS = 6  # about how many ticks _nice_ticks places
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS_PER_AXIS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -516,7 +519,7 @@ def emit_plots(record: SimRecord, outdir: Path) -> list[Path]:
         ("theta_r", t, record.theta_r),
     ]
     dashed = []
-    if sc.controller in ("los-track", "pid"):
+    if sc.controller in ANGLE_TRACKING:
         angle_series.append(("theta_q ref", ts, sc.ref_q.sample(ts)[0]))
         angle_series.append(("theta_r ref", ts, sc.ref_r.sample(ts)[0]))
         dashed = ["theta_q ref", "theta_r ref"]
@@ -538,6 +541,12 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+
+
+# round-trip samples and seed; oracle trajectories, central-difference
+# step [s], tolerance and seed
+ROUNDTRIP_SAMPLES, ROUNDTRIP_SEED = 10_000, 20240
+ORACLE_TRAJECTORIES, ORACLE_FD_STEP, ORACLE_TOL, ORACLE_SEED = 10, 1e-5, 1e-5, 77
 
 
 def _random_symmetric_model(rng: random.Random) -> InertiaModel:
@@ -566,14 +575,14 @@ def _random_body(rng: random.Random) -> BodyRates:
     return BodyRates(*(rng.uniform(-1.0, 1.0) for _ in range(6)))
 
 
-def verify_roundtrip(samples: int = 10_000, seed: int = 20240) -> CheckResult:
+def verify_roundtrip() -> CheckResult:
     """Randomized check that the torque <-> virtual-acceleration maps
     are mutual inverses to better than 1e-12."""
-    rng = random.Random(seed)
+    rng = random.Random(ROUNDTRIP_SEED)
     from .control import VirtualControl
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(ROUNDTRIP_SAMPLES):
         t = rng.uniform(0.0, 60.0)
         st = _random_state(rng)
         body = _random_body(rng)
@@ -592,7 +601,7 @@ def verify_roundtrip(samples: int = 10_000, seed: int = 20240) -> CheckResult:
     return CheckResult(
         "roundtrip",
         worst < 1e-12,
-        f"max round-trip error {worst:.3e} over {samples} samples (tol 1e-12)",
+        f"max round-trip error {worst:.3e} over {ROUNDTRIP_SAMPLES} samples (tol 1e-12)",
     )
 
 
@@ -670,9 +679,7 @@ def _central_diff(f: Callable[[float], float], t: float, h: float) -> float:
     return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
-def verify_oracle(
-    trajectories: int = 10, fd_step: float = 1e-5, tol: float = 1e-5, seed: int = 77
-) -> list[CheckResult]:
+def verify_oracle() -> list[CheckResult]:
     """Independent checks of the drift terms.
 
     The pitch/elevation pair must cancel exactly. Each drift term is
@@ -680,7 +687,7 @@ def verify_oracle(
     the analytic derivative of, along random smooth synthetic
     trajectories.
     """
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
     worst_id = 0.0
     for _ in range(2000):
         st = _random_state(rng)
@@ -701,7 +708,7 @@ def verify_oracle(
     ratio = model.j_ay / model.j_k
     worst = {"pitch_accel_drift": 0.0, "yaw_accel_drift": 0.0,
              "elevation_drift": 0.0, "azimuth_drift": 0.0}
-    for _ in range(trajectories):
+    for _ in range(ORACLE_TRAJECTORIES):
         path = _SyntheticPath(rng)
         for _ in range(8):
             t = rng.uniform(1.0, 9.0)
@@ -713,7 +720,7 @@ def verify_oracle(
                 b = path.body(tt)
                 return b.p * math.sin(s.x3) - b.q * math.cos(s.x3)
 
-            fd = _central_diff(qk_term, t, fd_step)
+            fd = _central_diff(qk_term, t, ORACLE_FD_STEP)
             worst["pitch_accel_drift"] = max(
                 worst["pitch_accel_drift"], abs(pitch_accel_drift(t, st, body) - fd)
             )
@@ -721,7 +728,7 @@ def verify_oracle(
                 worst["elevation_drift"], abs(elevation_drift(t, st, body) + fd)
             )
 
-            r_dot_fd = _central_diff(lambda tt: path.body(tt).r, t, fd_step)
+            r_dot_fd = _central_diff(lambda tt: path.body(tt).r, t, ORACLE_FD_STEP)
             yaw = yaw_rates(body, GimbalAngles(nu1=st.x3, nu2=st.x1, nu1_dot=st.x4, nu2_dot=st.x2))
             q_a, _ = los_rates(st, body)
             f2_fd = -r_dot_fd - ratio * yaw.about_x * q_a
@@ -733,7 +740,7 @@ def verify_oracle(
             def azimuth_rate(tt: float) -> float:
                 return los_rates(path.state(tt), path.body(tt))[1]
 
-            g2_fd = _central_diff(azimuth_rate, t, fd_step) - path.x4_dot(t) * math.cos(st.x1)
+            g2_fd = _central_diff(azimuth_rate, t, ORACLE_FD_STEP) - path.x4_dot(t) * math.cos(st.x1)
             worst["azimuth_drift"] = max(
                 worst["azimuth_drift"], abs(azimuth_drift(t, st, body) - g2_fd)
             )
@@ -741,9 +748,9 @@ def verify_oracle(
         results.append(
             CheckResult(
                 f"oracle {name} finite-difference",
-                err < tol,
-                f"max deviation {err:.3e} (tol {tol:g}, step {fd_step:g}, "
-                f"{trajectories} trajectories)",
+                err < ORACLE_TOL,
+                f"max deviation {err:.3e} (tol {ORACLE_TOL:g}, step {ORACLE_FD_STEP:g}, "
+                f"{ORACLE_TRAJECTORIES} trajectories)",
             )
         )
     return results
@@ -780,16 +787,22 @@ class ChannelMetrics(NamedTuple):
 
 
 def run_metrics(record: SimRecord) -> dict[str, ChannelMetrics]:
-    """Per-channel tracking metrics against the scenario references.
+    """Per-channel LOS angle metrics against the angle the controller
+    drives to: the references of an :data:`ANGLE_TRACKING` record, zero
+    for ``stabilize`` and ``open-loop``, which ignore theirs. A
+    ``rate-track`` record, whose references are LOS rates, is refused.
 
     The settling time is measured from run start to the last excursion
     of the error outside a 2% band of the reference peak (absolute band
     0.02 when the reference is identically zero).
     """
     sc = record.scenario
+    if sc.controller == "rate-track":
+        raise ValueError(f"controller {sc.controller!r} has LOS rate references, not angles")
+    refs = (sc.ref_q, sc.ref_r) if sc.controller in ANGLE_TRACKING else (ZERO_TRAJECTORY,) * 2
     t = record.t
     out = {}
-    for channel, ref in (("theta_q", sc.ref_q), ("theta_r", sc.ref_r)):
+    for channel, ref in zip(("theta_q", "theta_r"), refs):
         target = ref.sample(t)[0]
         e = target - record.col(channel)
         peak_ref = float(np.max(np.abs(target)))

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .kinematics import BodyRates, los_rates
 from .plant import GimbalState, InertiaModel, TorqueCommand, _accel_drifts, pitch_accel_drift
@@ -32,7 +34,7 @@ from .plant import GimbalState, InertiaModel, TorqueCommand, _accel_drifts, pitc
 __all__ = [
     "ControlGains",
     "VirtualControl",
-    "DesiredTrajectory",
+    "ReferenceSpec",
     "ZERO_TRAJECTORY",
     "GuardSpec",
     "guard_cos",
@@ -84,25 +86,71 @@ class VirtualControl(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DesiredTrajectory:
-    """A reference signal with its first two time derivatives.
+class ReferenceSpec:
+    """A reference signal with its first two time derivatives: scalar
+    ``value(t)``, ``d1(t)`` and ``d2(t)``, and ``sample(ts)`` on an
+    array of times.
 
-    ``d1`` and ``d2`` must be the caller's declared derivatives of
-    ``value``; rate laws use ``value``/``d1``, angle-tracking laws use
-    all three. Step references conventionally report zero derivatives
-    (the flat-segment values).
+    Kinds: ``zero``; ``step`` (value ``amplitude`` on [t_on, t_off),
+    zero outside, zero declared derivatives, the flat-segment values);
+    ``sinusoid`` (A sin(omega t) with analytic derivatives). Rate laws
+    use ``value``/``d1``, angle-tracking laws use all three.
     """
 
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    kind: str = "zero"
+    amplitude: float = 0.0
+    omega: float = 0.0
+    t_on: float = 0.0
+    t_off: float = math.inf
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "step", "sinusoid"):
+            raise ValueError(f"unknown reference kind {self.kind!r}")
+        for name in ("amplitude", "omega", "t_on"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"reference {name} must be finite")
+        if not self.t_off > self.t_on:  # also rejects a NaN t_off
+            raise ValueError(
+                f"reference t_off must be a number > t_on = {self.t_on!r}, got {self.t_off!r}"
+            )
+
+    def value(self, t: float) -> float:
+        if self.kind == "step":
+            return self.amplitude if self.t_on <= t < self.t_off else 0.0
+        if self.kind == "sinusoid":
+            return self.amplitude * math.sin(self.omega * t)
+        return 0.0
+
+    def d1(self, t: float) -> float:
+        if self.kind == "sinusoid":
+            return self.amplitude * self.omega * math.cos(self.omega * t)
+        return 0.0
+
+    def d2(self, t: float) -> float:
+        if self.kind == "sinusoid":
+            return -self.amplitude * self.omega * self.omega * math.sin(self.omega * t)
+        return 0.0
+
+    def trajectory(self) -> ReferenceSpec:
+        # the scalar reference is the spec itself; perfbench/tracing.py
+        # still reaches the laws' references through this call
+        return self
+
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``value, d1, d2`` at every time in ``ts``, as arrays; element
+        ``i`` has the same bits as ``value``, ``d1`` and ``d2`` at
+        ``ts[i]``."""
+        zero = np.zeros(len(ts))
+        if self.kind == "zero":
+            return zero, zero, zero
+        if self.kind == "step":
+            on = (self.t_on <= ts) & (ts < self.t_off)
+            return np.where(on, self.amplitude, 0.0), zero, zero
+        a, w = self.amplitude, self.omega
+        return a * np.sin(w * ts), a * w * np.cos(w * ts), -a * w * w * np.sin(w * ts)
 
 
-def _zero(t: float) -> float:
-    return 0.0
-
-
-ZERO_TRAJECTORY = DesiredTrajectory(_zero, _zero, _zero)
+ZERO_TRAJECTORY = ReferenceSpec()
 
 
 @dataclass(frozen=True)
@@ -193,13 +241,32 @@ def virtual_from_torques(
     return VirtualControl(u.u1 / j_ay + pitch, u.u2 / j_k + yaw)
 
 
+def _linearizing_law(
+    t: float, state: GimbalState, body: BodyRates, guard: GuardSpec,
+    kq: float, kr: float, ff_q: float, ff_r: float, ref_q: float, ref_r: float,
+    pos: tuple[float, float] | None = None,
+) -> VirtualControl:
+    """The tracking laws' common form: cancel the drift, add the
+    feedforward ``ff`` and feed back the LOS rate error ``ref - rate``
+    at gain ``k``; ``pos`` is the LOS law's angle feedback
+    ``k_pos (value - angle)`` per channel. The step kernel of
+    ``sim.integrate`` writes the same arithmetic out."""
+    q_a, r_a = los_rates(state, body)
+    v1 = -elevation_drift(t, state, body) + ff_q + kq * (ref_q - q_a)
+    w2 = -azimuth_drift(t, state, body) + ff_r + kr * (ref_r - r_a)
+    if pos is not None:
+        v1 += pos[0]
+        w2 += pos[1]
+    return VirtualControl(v1, w2 / guard_cos(math.cos(state.x1), guard))
+
+
 def rate_tracking_control(
     t: float,
     state: GimbalState,
     body: BodyRates,
     gains: ControlGains,
-    qa_des: DesiredTrajectory,
-    ra_des: DesiredTrajectory,
+    qa_des: ReferenceSpec,
+    ra_des: ReferenceSpec,
     guard: GuardSpec = GuardSpec(),
 ) -> VirtualControl:
     """Drive the LOS rates to desired rate trajectories.
@@ -208,18 +275,10 @@ def rate_tracking_control(
     rate error decays exponentially at its gain. The yaw channel divides
     by the guarded ``cos(x1)``.
     """
-    q_a, r_a = los_rates(state, body)
-    v1 = (
-        -elevation_drift(t, state, body)
-        + qa_des.d1(t)
-        + gains.c1 * (qa_des.value(t) - q_a)
+    return _linearizing_law(
+        t, state, body, guard, gains.c1, gains.c2,
+        qa_des.d1(t), ra_des.d1(t), qa_des.value(t), ra_des.value(t),
     )
-    v2 = (
-        -azimuth_drift(t, state, body)
-        + ra_des.d1(t)
-        + gains.c2 * (ra_des.value(t) - r_a)
-    ) / guard_cos(math.cos(state.x1), guard)
-    return VirtualControl(v1, v2)
 
 
 def los_tracking_control(
@@ -227,8 +286,8 @@ def los_tracking_control(
     state: GimbalState,
     body: BodyRates,
     gains: ControlGains,
-    thq_des: DesiredTrajectory,
-    thr_des: DesiredTrajectory,
+    thq_des: ReferenceSpec,
+    thr_des: ReferenceSpec,
     theta_q: float,
     theta_r: float,
     guard: GuardSpec = GuardSpec(),
@@ -241,20 +300,11 @@ def los_tracking_control(
     elevation and (c3, c4) on azimuth.
     """
     gains.require_full()
-    q_a, r_a = los_rates(state, body)
-    v1 = (
-        -elevation_drift(t, state, body)
-        + thq_des.d2(t)
-        + gains.c1 * (thq_des.d1(t) - q_a)
-        + gains.c2 * (thq_des.value(t) - theta_q)
+    pos = (gains.c2 * (thq_des.value(t) - theta_q), gains.c4 * (thr_des.value(t) - theta_r))
+    return _linearizing_law(
+        t, state, body, guard, gains.c1, gains.c3,
+        thq_des.d2(t), thr_des.d2(t), thq_des.d1(t), thr_des.d1(t), pos,
     )
-    v2 = (
-        -azimuth_drift(t, state, body)
-        + thr_des.d2(t)
-        + gains.c3 * (thr_des.d1(t) - r_a)
-        + gains.c4 * (thr_des.value(t) - theta_r)
-    ) / guard_cos(math.cos(state.x1), guard)
-    return VirtualControl(v1, v2)
 
 
 @dataclass(frozen=True)

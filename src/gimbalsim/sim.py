@@ -30,9 +30,9 @@ import numpy as np
 
 from .control import (
     ControlGains,
-    DesiredTrajectory,
     GuardSpec,
     PidParams,
+    ReferenceSpec,
     ZERO_TRAJECTORY,
     guard_cos,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "SinusoidalPlatform",
     "ConstantPlatform",
     "TablePlatform",
-    "ReferenceSpec",
     "Scenario",
     "SimRecord",
     "integrate",
@@ -247,69 +246,6 @@ class TablePlatform(PlatformProfile):
 
 
 # ---------------------------------------------------------------------------
-# Reference trajectories
-
-
-@dataclass(frozen=True)
-class ReferenceSpec:
-    """Declarative reference signal; ``trajectory()`` realizes it as
-    scalar functions of t, ``sample(ts)`` on an array of times.
-
-    Kinds: ``zero``; ``step`` (value ``amplitude`` on [t_on, t_off),
-    zero outside, zero declared derivatives); ``sinusoid``
-    (A sin(omega t) with analytic derivatives).
-    """
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    omega: float = 0.0
-    t_on: float = 0.0
-    t_off: float = math.inf
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "step", "sinusoid"):
-            raise ValueError(f"unknown reference kind {self.kind!r}")
-        for name in ("amplitude", "omega", "t_on"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"reference {name} must be finite")
-        if not self.t_off > self.t_on:  # also rejects a NaN t_off
-            raise ValueError(
-                f"reference t_off must be a number > t_on = {self.t_on!r}, got {self.t_off!r}"
-            )
-
-    def trajectory(self) -> DesiredTrajectory:
-        if self.kind == "zero":
-            return ZERO_TRAJECTORY
-        if self.kind == "step":
-            a, on, off = self.amplitude, self.t_on, self.t_off
-
-            def value(t: float) -> float:
-                return a if on <= t < off else 0.0
-
-            zero = ZERO_TRAJECTORY.d1
-            return DesiredTrajectory(value, zero, zero)
-        a, w = self.amplitude, self.omega
-        return DesiredTrajectory(
-            lambda t: a * math.sin(w * t),
-            lambda t: a * w * math.cos(w * t),
-            lambda t: -a * w * w * math.sin(w * t),
-        )
-
-    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``value, d1, d2`` at every time in ``ts``, as arrays; element
-        ``i`` has the same bits as the ``trajectory()`` functions at
-        ``ts[i]``."""
-        zero = np.zeros(len(ts))
-        if self.kind == "zero":
-            return zero, zero, zero
-        if self.kind == "step":
-            on = (self.t_on <= ts) & (ts < self.t_off)
-            return np.where(on, self.amplitude, 0.0), zero, zero
-        a, w = self.amplitude, self.omega
-        return a * np.sin(w * ts), a * w * np.cos(w * ts), -a * w * w * np.sin(w * ts)
-
-
-# ---------------------------------------------------------------------------
 # Scenario
 
 
@@ -468,7 +404,7 @@ def _time_samples(sc: Scenario, los: bool):
     half = 0.5 * h
     spec_q, spec_r = sc.ref_q, sc.ref_r
     if sc.controller == "stabilize":  # stabilization is rate tracking of zero
-        spec_q = spec_r = ReferenceSpec()
+        spec_q = spec_r = ZERO_TRAJECTORY
     sample = sc.platform.sample
     for k0 in range(0, n + 1, _BLOCK):
         ts = np.arange(k0, min(k0 + _BLOCK, n + 1), dtype=float) * h
@@ -492,12 +428,12 @@ def integrate(scenario: Scenario) -> SimRecord:
     The platform rates and the references depend on time only; they
     come from ``sample`` in blocks of ``_BLOCK`` steps, at the times
     ``k * h``, ``t + h / 2`` and ``t + h`` a per-step call would use,
-    so the trace has the same bits as one built from ``rates`` and
-    ``trajectory``. Each block's rows are collected in one flat list
-    and stored in the record with one slice assignment. The scenario's
-    inputs were checked when it was built, so the only error raised
-    here is :class:`SimulationDiverged`, when the state leaves the
-    finite range.
+    so the trace has the same bits as one built from ``rates`` and the
+    references' ``value``/``d1``/``d2``. Each block's rows are collected
+    in one flat list and stored in the record with one slice
+    assignment. The scenario's inputs were checked when it was built,
+    so the only error raised here is :class:`SimulationDiverged`, when
+    the state leaves the finite range.
     """
     sc = scenario
     model = sc.model

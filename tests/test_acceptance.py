@@ -73,9 +73,9 @@ def test_criterion_01_transform_round_trip():
     """Both torque/virtual-acceleration round trips over 10^4 random
     samples, max error < 1e-12, in under 5 s."""
     start = time.perf_counter()
-    result = cli.verify_roundtrip(samples=10_000)
+    result = cli.verify_roundtrip()
     elapsed = time.perf_counter() - start
-    ok = result.passed and elapsed < 5.0
+    ok = result.passed and cli.ROUNDTRIP_SAMPLES == 10_000 and elapsed < 5.0
     assert report(1, ok, f"{result.detail}; runtime {elapsed:.2f}s (limit 5s)")
 
 
@@ -243,8 +243,9 @@ def test_criterion_07_noise_gain_robustness():
 def test_criterion_08_drift_term_oracles():
     """Exact pitch/elevation drift cancellation plus finite-difference
     agreement of all four drift terms along 10 random trajectories."""
-    results = cli.verify_oracle(trajectories=10, fd_step=1e-5, tol=1e-5)
-    ok = all(r.passed for r in results)
+    results = cli.verify_oracle()
+    settings = (cli.ORACLE_TRAJECTORIES, cli.ORACLE_FD_STEP, cli.ORACLE_TOL)
+    ok = settings == (10, 1e-5, 1e-5) and all(r.passed for r in results)
     assert report(8, ok, "; ".join(r.detail for r in results))
 
 

@@ -579,6 +579,21 @@ class TestCompareCommand:
         mb = cli.run_metrics(integrate(rec.scenario))
         assert ma == mb
 
+    @pytest.mark.parametrize("controller", ["stabilize", "open-loop"])
+    def test_metrics_of_a_run_that_ignores_its_references_are_against_zero(self, controller):
+        # integrate ignores these references, so the metrics must too
+        base = replace(sim.preset("fig3-stab"), controller=controller, duration=2.0, name="m0")
+        sine = ReferenceSpec(kind="sinusoid", amplitude=0.5, omega=3.0)
+        with_refs = replace(base, ref_q=sine, ref_r=sine, name="m1")
+        rec = integrate(with_refs)
+        assert rec.data.tobytes() == integrate(base).data.tobytes()
+        assert cli.run_metrics(rec) == cli.run_metrics(integrate(base))
+
+    def test_metrics_refuse_a_rate_tracking_record(self):
+        sc = replace(sim.preset("fig3-stab"), controller="rate-track", duration=0.1, name="rt")
+        with pytest.raises(ValueError, match="'rate-track'"):
+            cli.run_metrics(integrate(sc))
+
     def test_compare_command_prints_table(self, capsys):
         # a cheap deterministic pair through the real code path
         code = cli.main(["compare", "fig3-stab", "fig3-stab"])

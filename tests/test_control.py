@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from gimbalsim.control import (
     ControlGains,
-    DesiredTrajectory,
     GuardSpec,
     PidParams,
     PidState,
@@ -51,7 +51,7 @@ MODEL = default_model()
 
 
 def constant_trajectory(value):
-    return DesiredTrajectory(lambda t: value, lambda t: 0.0, lambda t: 0.0)
+    return types.SimpleNamespace(value=lambda t: value, d1=lambda t: 0.0, d2=lambda t: 0.0)
 
 
 class TestControlGains:
@@ -224,7 +224,7 @@ class TestLosTracking:
     def test_reduces_to_feedforward_on_the_trajectory(self):
         # when state and rates match the reference, only the declared
         # second derivative remains (drifts are zero without body motion)
-        traj = DesiredTrajectory(lambda t: 0.4, lambda t: 0.25, lambda t: 0.6)
+        traj = types.SimpleNamespace(value=lambda t: 0.4, d1=lambda t: 0.25, d2=lambda t: 0.6)
         state = GimbalState(0.0, 0.25, 0.0, 0.0)  # q_a == d1
         v = los_tracking_control(
             0.0, state, BODY_AT_REST, ControlGains(6.0, 8.0, 9.0, 10.0),
@@ -300,8 +300,7 @@ class TestClosedLoopResiduals:
     def test_los_law_second_order_residual(self, rec_fig4):
         sc = rec_fig4.scenario
         gains = sc.gains
-        traj_q = sc.ref_q.trajectory()
-        traj_r = sc.ref_r.trajectory()
+        traj_q, traj_r = sc.ref_q, sc.ref_r
         h = sc.step_size
         worst_q = worst_r = 0.0
         for i in range(0, rec_fig4.n_rows, 17):

@@ -110,11 +110,11 @@ class TestPlatformProfiles:
 
 class TestReferences:
     def test_zero(self):
-        traj = ReferenceSpec(kind="zero").trajectory()
+        traj = ReferenceSpec(kind="zero")
         assert (traj.value(3.0), traj.d1(3.0), traj.d2(3.0)) == (0.0, 0.0, 0.0)
 
     def test_sinusoid_analytic_derivatives(self):
-        traj = ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25).trajectory()
+        traj = ReferenceSpec(kind="sinusoid", amplitude=1.0, omega=math.pi / 25)
         assert traj.value(0.0) == 0.0
         assert traj.d1(0.0) == pytest.approx(math.pi / 25)
         assert traj.d2(0.0) == pytest.approx(0.0, abs=1e-15)
@@ -127,7 +127,7 @@ class TestReferences:
             assert traj.d2(t) == pytest.approx(fd2, abs=1e-6)
 
     def test_step_window(self):
-        traj = ReferenceSpec(kind="step", amplitude=math.pi / 6, t_on=5.0, t_off=25.0).trajectory()
+        traj = ReferenceSpec(kind="step", amplitude=math.pi / 6, t_on=5.0, t_off=25.0)
         assert traj.value(4.999) == 0.0
         assert traj.value(5.0) == math.pi / 6
         assert traj.value(24.999) == math.pi / 6
@@ -161,8 +161,8 @@ _PROBES = np.concatenate(
 
 
 class TestSample:
-    """``sample(ts)`` equals the scalar ``rates`` / ``trajectory`` path
-    bit for bit at every time."""
+    """``sample(ts)`` equals the scalar ``rates`` / ``value``, ``d1``,
+    ``d2`` path bit for bit at every time."""
 
     @staticmethod
     def assert_platform_matches(platform, ts):
@@ -173,8 +173,7 @@ class TestSample:
     @staticmethod
     def assert_reference_matches(spec, ts):
         ts = np.asarray(ts, dtype=float)
-        traj = spec.trajectory()
-        want = [(traj.value(t), traj.d1(t), traj.d2(t)) for t in ts.tolist()]
+        want = [(spec.value(t), spec.d1(t), spec.d2(t)) for t in ts.tolist()]
         _assert_same_bits(ts, spec.sample(ts), want)
 
     @pytest.mark.parametrize(
@@ -207,19 +206,6 @@ class TestSample:
         tab = TablePlatform((1.0, 2.0), (0.0, 1.0), (2.0, 2.0), (-1.0, 3.0))
         self.assert_platform_matches(tab, [0.0, 1.0, 1.25, math.nextafter(2.0, 0.0), 2.0, 9.0])
 
-    @staticmethod
-    def whole_table_sample(tab, ts):
-        # sample()'s arithmetic on arrays of every breakpoint
-        times, *chans = np.array((tab.times, tab.p, tab.q, tab.r), dtype=float)
-        i = np.clip(np.searchsorted(times, ts, side="left"), 1, len(times) - 1)
-        i[np.isnan(ts)] = 1
-        dt = times[i] - times[i - 1]
-        w = (ts - times[i - 1]) / dt
-        before, after = ts <= times[0], ts >= times[-1]
-        values = [np.where(before, ch[0], np.where(after, ch[-1], ch[i - 1] + w * (ch[i] - ch[i - 1]))) for ch in chans]
-        slopes = [np.where(before | after, 0.0, (ch[i] - ch[i - 1]) / dt) for ch in chans]
-        return (*values, *slopes)
-
     @pytest.mark.parametrize(
         "times",
         [
@@ -230,26 +216,25 @@ class TestSample:
         ],
         ids=["block-edges", "one-segment", "one-segment-spanning"],
     )
-    def test_table_on_the_breakpoints_it_spans_matches_whole_table(self, times):
-        # sample() converts only the breakpoints its times span; on the
-        # block grids of a run, past both table ends and on odd inputs it
-        # returns the bits of the same arithmetic on the whole table
+    def test_table_on_block_grids_and_odd_inputs(self, times):
+        # the block grids of a 1 s run, past both table ends, beside
+        # each breakpoint and NaN among finite times
         rng = np.random.default_rng(3)
         tab = TablePlatform(times, *(tuple(rng.uniform(-1.0, 1.0, len(times)).tolist()) for _ in range(3)))
         h, n = 1e-3, 1000
-        grids = []
         for k0 in range(0, n + 1, _BLOCK):
             ts = np.arange(k0, min(k0 + _BLOCK, n + 1), dtype=float) * h
-            grids.append(np.concatenate((ts, ts + 0.5 * h, ts + h)))
-        grids += [
-            np.array([times[0]]), np.array([times[-1]]), np.array([]),
-            np.array([-1e3, -50.0]), np.array([50.0, 1e3]), np.array([1e3, -1e3, 0.35]),
-            np.array([math.nextafter(t, d) for t in times for d in (math.inf, -math.inf)]),
-            np.array([0.35, math.nan, -1e3]),
-        ]
-        for ts in grids:
-            got, want = tab.sample(ts), self.whole_table_sample(tab, ts)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], ts
+            self.assert_platform_matches(tab, np.concatenate((ts, ts + 0.5 * h, ts + h)))
+        for ts in (
+            [times[0]], [times[-1]],
+            [-1e3, -50.0], [50.0, 1e3], [1e3, -1e3, 0.35],
+            [math.nextafter(t, d) for t in times for d in (math.inf, -math.inf)],
+            [0.35, math.nan, -1e3],
+        ):
+            self.assert_platform_matches(tab, ts)
+        # no rows to compare with rates(): six empty float arrays
+        empty = tab.sample(np.array([]))
+        assert [(a.shape, a.dtype) for a in empty] == [((0,), np.float64)] * 6
 
     @pytest.mark.parametrize(
         "spec",
@@ -458,7 +443,7 @@ class TestIntegrate:
         # torque map bit for bit, inside and outside the guard band, on
         # every platform kind; the PID memory threads through every row
         ref = ReferenceSpec(kind="sinusoid", amplitude=0.5, omega=2.0)
-        traj = ZERO_TRAJECTORY if controller == "stabilize" else ref.trajectory()
+        traj = ZERO_TRAJECTORY if controller == "stabilize" else ref
         for platform in _ORACLE_PLATFORMS:
             sc = _oracle_scenario(controller, platform, ref)
             rec = integrate(sc)
@@ -535,14 +520,21 @@ class TestIntegrate:
 
     def test_integrate_samples_in_blocks_not_per_step(self):
         # integrate must read time-only inputs through sample(); a
-        # fallback to per-step rates() or trajectory() calls fails here
+        # fallback to per-step rates(), value(), d1() or d2() calls, or
+        # to trajectory(), fails here
         class NoScalarPlatform(SinusoidalPlatform):
             def rates(self, t):
                 raise AssertionError("integrate called rates() per step")
 
+        def refuse(name):
+            def call(self, *args):
+                raise AssertionError(f"integrate called {name}()")
+
+            return call
+
         class NoScalarReference(ReferenceSpec):
-            def trajectory(self):
-                raise AssertionError("integrate called trajectory()")
+            value, d1, d2 = refuse("value"), refuse("d1"), refuse("d2")
+            trajectory = refuse("trajectory")
 
         sin_ref = dict(kind="sinusoid", amplitude=0.4, omega=2.5)
         step_ref = dict(kind="step", amplitude=0.3, t_on=0.2, t_off=0.4)
