@@ -41,8 +41,19 @@ from typing import Callable, NamedTuple, Sequence, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .control import ControlGains, GuardSpec, PidParams, torques_from_virtual, virtual_from_torques
-from .kinematics import BodyRates, los_rates, yaw_rates, GimbalAngles
+from .control import (
+    ZERO_TRAJECTORY,
+    ControlGains,
+    GuardSpec,
+    PidParams,
+    ReferenceSpec,
+    VirtualControl,
+    azimuth_drift,
+    elevation_drift,
+    torques_from_virtual,
+    virtual_from_torques,
+)
+from .kinematics import BodyRates, los_rates, yaw_rates
 from .plant import (
     GimbalState,
     InertiaModel,
@@ -52,7 +63,6 @@ from .plant import (
     pitch_accel_drift,
     yaw_accel_drift,
 )
-from .control import ZERO_TRAJECTORY, ReferenceSpec, azimuth_drift, elevation_drift
 from .sim import (
     COLUMNS,
     ConstantPlatform,
@@ -328,7 +338,7 @@ def _ini_record(cp: configparser.ConfigParser, section: str, hints: dict) -> dic
 def _ini_build(section: str, cls, values: dict):
     try:
         return cls(**values)
-    except TypeError as e:  # a required key is missing
+    except (TypeError, ValueError) as e:  # a required key is missing, or a bad value
         raise ValueError(f"[{section}] {e}") from None
 
 
@@ -364,7 +374,7 @@ def scenario_from_ini(text: str) -> Scenario:
         for key, v in values.items():
             matrix, i, j = _INERTIA[key]
             matrices[matrix][i, j] = matrices[matrix][j, i] = v
-        changes["model"] = InertiaModel(**matrices)
+        changes["model"] = _ini_build("inertia", InertiaModel, matrices)
     for section, (attr, cls) in _RECORDS.items():
         if cp.has_section(section):
             hints = _hints(cls)
@@ -579,8 +589,6 @@ def verify_roundtrip() -> CheckResult:
     """Randomized check that the torque <-> virtual-acceleration maps
     are mutual inverses to better than 1e-12."""
     rng = random.Random(ROUNDTRIP_SEED)
-    from .control import VirtualControl
-
     worst = 0.0
     for _ in range(ROUNDTRIP_SAMPLES):
         t = rng.uniform(0.0, 60.0)
@@ -729,7 +737,7 @@ def verify_oracle() -> list[CheckResult]:
             )
 
             r_dot_fd = _central_diff(lambda tt: path.body(tt).r, t, ORACLE_FD_STEP)
-            yaw = yaw_rates(body, GimbalAngles(nu1=st.x3, nu2=st.x1, nu1_dot=st.x4, nu2_dot=st.x2))
+            yaw = yaw_rates(st, body)
             q_a, _ = los_rates(st, body)
             f2_fd = -r_dot_fd - ratio * yaw.about_x * q_a
             worst["yaw_accel_drift"] = max(

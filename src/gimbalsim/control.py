@@ -74,8 +74,9 @@ class ControlGains:
                 raise ValueError(f"gain {name} must be a positive real, got {v!r}")
 
     def require_full(self) -> None:
-        if self.c3 is None or self.c4 is None:
-            raise ValueError("LOS tracking needs all four gains c1..c4")
+        missing = ", ".join(name for name in ("c3", "c4") if getattr(self, name) is None)
+        if missing:
+            raise ValueError(f"LOS tracking needs all four gains c1..c4, missing {missing}")
 
 
 class VirtualControl(NamedTuple):

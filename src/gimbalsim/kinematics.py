@@ -7,6 +7,10 @@ z-axis, and the pitch-gimbal frame A obtained by rotating K through
 the x-axis of frame A; the inertial LOS elevation and azimuth rates are
 the y and z components of frame A's inertial angular velocity.
 
+The frame-rate functions take the gimbal state, ``plant.GimbalState``
+or anything with its fields: ``nu1 = x3`` (rate ``x4``), ``nu2 = x1``
+(rate ``x2``).
+
 Angles are radians and rates rad/s throughout. Every function here is a
 pure function of its arguments and is safe to call concurrently.
 """
@@ -20,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "BodyRates",
-    "GimbalAngles",
     "FrameRates",
     "BODY_AT_REST",
     "rot_body_to_yaw",
@@ -46,20 +49,6 @@ class BodyRates(NamedTuple):
     p_dot: float = 0.0
     q_dot: float = 0.0
     r_dot: float = 0.0
-
-
-class GimbalAngles(NamedTuple):
-    """Gimbal joint angles and rates.
-
-    ``nu1`` is the yaw rotation (body -> yaw frame, about body z),
-    ``nu2`` the pitch rotation (yaw -> pitch frame, about yaw y). Angles
-    are stored unwrapped; wrapping is a display concern only.
-    """
-
-    nu1: float
-    nu2: float
-    nu1_dot: float = 0.0
-    nu2_dot: float = 0.0
 
 
 class FrameRates(NamedTuple):
@@ -92,49 +81,45 @@ def rot_yaw_to_pitch(nu2: float) -> np.ndarray:
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
-def yaw_rates(body: BodyRates, ang: GimbalAngles) -> FrameRates:
+def yaw_rates(state, body: BodyRates) -> FrameRates:
     """Inertial angular velocity of the yaw gimbal frame.
 
-    The body rates are rotated into the yaw frame and the joint rate
-    ``nu1_dot`` adds along the z-axis:
+    The body rates are rotated through ``nu1 = state.x3`` into the yaw
+    frame and the joint rate ``nu1_dot = state.x4`` adds along the z-axis:
 
         p_k = p cos(nu1) + q sin(nu1)
         q_k = -p sin(nu1) + q cos(nu1)
         r_k = r + nu1_dot
     """
-    c, s = math.cos(ang.nu1), math.sin(ang.nu1)
+    c, s = math.cos(state.x3), math.sin(state.x3)
     return FrameRates(
         body.p * c + body.q * s,
         -body.p * s + body.q * c,
-        body.r + ang.nu1_dot,
+        body.r + state.x4,
     )
 
 
-def pitch_rates(yaw: FrameRates, ang: GimbalAngles) -> FrameRates:
+def pitch_rates(state, yaw: FrameRates) -> FrameRates:
     """Inertial angular velocity of the pitch gimbal frame.
 
-    The yaw-frame rates are rotated through ``nu2`` about y and the joint
-    rate ``nu2_dot`` adds along the y-axis:
+    The yaw-frame rates are rotated through ``nu2 = state.x1`` about y
+    and the joint rate ``nu2_dot = state.x2`` adds along the y-axis:
 
         p_a = p_k cos(nu2) - r_k sin(nu2)
         q_a = q_k + nu2_dot
         r_a = p_k sin(nu2) + r_k cos(nu2)
     """
-    c, s = math.cos(ang.nu2), math.sin(ang.nu2)
+    c, s = math.cos(state.x1), math.sin(state.x1)
     return FrameRates(
         yaw.about_x * c - yaw.about_z * s,
-        yaw.about_y + ang.nu2_dot,
+        yaw.about_y + state.x2,
         yaw.about_x * s + yaw.about_z * c,
     )
 
 
 def los_rates(state, body: BodyRates) -> tuple[float, float]:
-    """LOS elevation and azimuth inertial rates ``(q_a, r_a)``.
-
-    ``state`` is anything with the gimbal state fields ``x1`` (pitch
-    angle), ``x2`` (pitch rate), ``x3`` (yaw angle) and ``x4`` (yaw
-    rate); see ``plant.GimbalState``. Closed form of composing
-    ``yaw_rates`` and ``pitch_rates``:
+    """LOS elevation and azimuth inertial rates ``(q_a, r_a)``, the closed
+    form of ``pitch_rates(state, yaw_rates(state, body))``:
 
         q_a = -p sin(x3) + q cos(x3) + x2
         r_a = p cos(x3) sin(x1) + q sin(x3) sin(x1) + r cos(x1) + x4 cos(x1)

@@ -41,8 +41,8 @@ __all__ = [
 class GimbalState(NamedTuple):
     """Augmented gimbal state.
 
-    ``x1`` pitch gimbal angle nu2 [rad], ``x2`` its rate [rad/s],
-    ``x3`` yaw gimbal angle nu1 [rad], ``x4`` its rate [rad/s],
+    ``x1`` = ``nu2``, the pitch gimbal angle [rad], ``x2`` its rate [rad/s],
+    ``x3`` = ``nu1``, the yaw gimbal angle [rad], ``x4`` its rate [rad/s],
     ``theta_q`` / ``theta_r`` the LOS elevation / azimuth angles [rad],
     defined as the time integrals of the LOS rates ``q_a`` / ``r_a``.
     Angles accumulate (no wrapping). The same tuple shape doubles as the

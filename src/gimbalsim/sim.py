@@ -47,6 +47,7 @@ from .plant import (
 __all__ = [
     "COLUMNS",
     "CONTROLLERS",
+    "LINEARIZING_CONTROLLERS",
     "MAX_STEPS",
     "SimulationDiverged",
     "UnknownPresetError",
@@ -87,7 +88,9 @@ COLUMNS = (
     "noise_z",
 )
 
-CONTROLLERS = ("stabilize", "rate-track", "los-track", "pid", "open-loop")
+# the feedback-linearizing laws, which need ControlGains
+LINEARIZING_CONTROLLERS = ("stabilize", "rate-track", "los-track")
+CONTROLLERS = (*LINEARIZING_CONTROLLERS, "pid", "open-loop")
 
 # Most steps a Scenario may take. integrate allocates the whole record up
 # front: n + 1 rows of len(COLUMNS) float64 values, 1.28 GB at the bound.
@@ -273,7 +276,7 @@ class Scenario:
         name = self.name
         if (
             not isinstance(name, str) or name in ("", ".", "..")
-            or "/" in name or os.sep in name or name != name.strip()
+            or "/" in name or os.sep in name or "\x00" in name or name != name.strip()
         ):
             raise ValueError(
                 "scenario name must be a file name without path separators or "
@@ -311,7 +314,7 @@ class Scenario:
         for name, v in zip(GimbalState._fields, state):
             if not math.isfinite(v):
                 raise ValueError(f"initial state {name} must be finite, got {v!r}")
-        if self.controller in ("stabilize", "rate-track", "los-track"):
+        if self.controller in LINEARIZING_CONTROLLERS:
             if self.gains is None:
                 raise ValueError(f"controller {self.controller!r} needs gains")
             if self.controller == "los-track":
@@ -452,7 +455,7 @@ def integrate(scenario: Scenario) -> SimRecord:
     sig_y, sig_z = sc.noise.sigma_y, sc.noise.sigma_z
 
     kind, gains, guard = sc.controller, sc.gains, sc.guard
-    law = kind in ("stabilize", "rate-track", "los-track")
+    law = kind in LINEARIZING_CONTROLLERS
     los = kind == "los-track"
     if los:
         kq, kr, kpq, kpr = gains.c1, gains.c3, gains.c2, gains.c4

@@ -15,12 +15,21 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from gimbalsim import cli, sim
-from gimbalsim.control import ControlGains
+from gimbalsim.control import ControlGains, GuardSpec, PidParams
 from gimbalsim.plant import GimbalState, NoiseSpec
-from gimbalsim.sim import ConstantPlatform, ReferenceSpec, Scenario, TablePlatform, integrate
+from gimbalsim.sim import (
+    ConstantPlatform,
+    ReferenceSpec,
+    Scenario,
+    SinusoidalPlatform,
+    TablePlatform,
+    integrate,
+)
 from test_golden import VERIFY_ALL
+from test_plant import models
 
 
 def small_record():
@@ -255,7 +264,70 @@ class TestForkedHelper:
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# positive gains that keep every drawn step_size below the coarse-step warning
+gain = st.floats(min_value=1e-3, max_value=10.0)
+names = st.text("ab1_-.%#=[]ü ", min_size=1, max_size=8).filter(
+    lambda n: n == n.strip() and n not in (".", "..")
+)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 5))
+    times = sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True)))
+    channels = (draw(st.lists(finite, min_size=n, max_size=n)) for _ in "pqr")
+    return TablePlatform(tuple(times), *map(tuple, channels))
+
+
+@st.composite
+def references(draw):
+    t_on = draw(st.floats(-1e3, 1e3))
+    t_off = draw(st.just(math.inf) | st.floats(1e-3, 1e3).map(lambda d: t_on + d))
+    kind = draw(st.sampled_from(("zero", "step", "sinusoid")))
+    return ReferenceSpec(kind, draw(finite), draw(finite), t_on, t_off)
+
+
+@st.composite
+def scenarios(draw):
+    controller = draw(st.sampled_from(sim.CONTROLLERS))
+    c34 = gain if controller == "los-track" else st.none() | gain
+    gains = st.builds(ControlGains, gain, gain, c34, c34)
+    if controller not in sim.LINEARIZING_CONTROLLERS:
+        gains = st.none() | gains
+    step = draw(st.floats(1e-4, 1e-2))
+    return Scenario(
+        name=draw(names),
+        controller=controller,
+        duration=draw(st.integers(1, 10_000)) * step,
+        step_size=step,
+        initial_state=GimbalState(*(draw(finite) for _ in GimbalState._fields)),
+        platform=draw(
+            st.builds(SinusoidalPlatform, *[finite] * 6)
+            | st.builds(ConstantPlatform, finite, finite, finite)
+            | tables()
+        ),
+        model=draw(models()),
+        gains=draw(gains),
+        ref_q=draw(references()),
+        ref_r=draw(references()),
+        noise=draw(st.builds(NoiseSpec, st.booleans(), st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+                             st.integers(-(2**63), 2**63))),
+        guard=GuardSpec(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        pid=PidParams(*(draw(finite) for _ in range(6))),
+    )
+
+
 class TestScenarioConfig:
+    @seed(14)
+    @settings(max_examples=50)
+    @given(scenarios())
+    def test_round_trip_property(self, sc):
+        text = cli.scenario_to_ini(sc)
+        back = cli.scenario_from_ini(text)
+        assert back == sc
+        assert cli.scenario_to_ini(back) == text
+
     def test_round_trip_all_presets(self):
         for name in sim.preset_names():
             sc = sim.preset(name)
@@ -416,6 +488,9 @@ class TestRunCommand:
             ("[initial]\nx1 = nan\n", "initial state x1 must be finite"),
             ("[inertia]\npitch_xy = 0.001\n", "pitch product of inertia xy"),
             ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments"),
+            # a constructor's own check names the section
+            ("[reference_r]\nkind = step\namplitude = nan\n", "[reference_r] reference amplitude"),
+            ("[inertia]\npitch_yy = nan\n", "[inertia] pitch_gimbal has non-finite entries"),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, section, field):
@@ -427,10 +502,22 @@ class TestRunCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "badout").exists()
 
-    @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", ""])
+    def test_config_missing_los_gain_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "nogain.ini"
+        cfg.write_text(
+            "[scenario]\nname = nogain\ncontroller = los-track\nduration = 0.1\n"
+            "[gains]\nc1 = 6\nc2 = 8\nc4 = 10\n"
+        )
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "nogainout")])
+        assert code == 2
+        assert "c1..c4, missing c3" in capsys.readouterr().err
+        assert not (tmp_path / "nogainout").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", "", "a\x00b"])
     def test_config_name_outside_output_root_exits_2(self, tmp_path, monkeypatch, capsys, name):
         # the name becomes a directory under $GIMBAL_OUT_DIR; one that
-        # would leave it, or is empty, is refused before anything is written
+        # would leave it, is empty or holds a NUL is refused before
+        # anything is written
         monkeypatch.setenv("GIMBAL_OUT_DIR", str(tmp_path / "root" / "runs"))
         cfg = tmp_path / "escape.ini"
         cfg.write_text(f"[scenario]\nname = {name}\ncontroller = open-loop\nduration = 0.1\n")

@@ -8,7 +8,6 @@ from gimbalsim.kinematics import (
     BODY_AT_REST,
     BodyRates,
     FrameRates,
-    GimbalAngles,
     los_rates,
     pitch_rates,
     rot_body_to_yaw,
@@ -76,11 +75,11 @@ class TestRotations:
 class TestFrameRates:
     def test_coincident_frames_pass_through(self):
         body = BodyRates(0.3, -0.4, 0.5)
-        out = yaw_rates(body, GimbalAngles(nu1=0.0, nu2=0.0))
+        out = yaw_rates(GimbalState(0.0, 0.0, 0.0, 0.0), body)
         assert out == FrameRates(0.3, -0.4, 0.5)
 
     def test_pure_gimbal_rotation(self):
-        out = yaw_rates(BODY_AT_REST, GimbalAngles(nu1=1.2, nu2=0.0, nu1_dot=0.5))
+        out = yaw_rates(GimbalState(0.0, 0.0, 1.2, 0.5), BODY_AT_REST)
         assert out.about_x == 0.0
         assert out.about_y == 0.0
         assert out.about_z == 0.5
@@ -89,27 +88,25 @@ class TestFrameRates:
     @settings(max_examples=200)
     def test_yaw_rates_match_rotation_product(self, p, q, r, nu1, nu1_dot):
         body = BodyRates(p, q, r)
-        ang = GimbalAngles(nu1=nu1, nu2=0.0, nu1_dot=nu1_dot)
-        out = yaw_rates(body, ang)
+        out = yaw_rates(GimbalState(0.0, 0.0, nu1, nu1_dot), body)
         rotated = rot_body_to_yaw(nu1) @ np.array([p, q, r])
         expected = rotated + np.array([0.0, 0.0, nu1_dot])
         np.testing.assert_allclose([out.about_x, out.about_y, out.about_z], expected, atol=1e-13)
 
     def test_pitch_identity_frame(self):
         yaw = FrameRates(0.1, 0.2, 0.3)
-        assert pitch_rates(yaw, GimbalAngles(nu1=0.0, nu2=0.0)) == yaw
+        assert pitch_rates(GimbalState(0.0, 0.0, 0.0, 0.0), yaw) == yaw
 
     def test_pitch_joint_rate_adds_on_y(self):
         yaw = FrameRates(0.0, 0.7, 0.0)
-        out = pitch_rates(yaw, GimbalAngles(nu1=0.0, nu2=0.9, nu2_dot=0.2))
+        out = pitch_rates(GimbalState(0.9, 0.2, 0.0, 0.0), yaw)
         assert out.about_y == pytest.approx(0.9)
 
     @given(rates, rates, rates, angles, rates)
     @settings(max_examples=200)
     def test_pitch_rates_match_rotation_product(self, pk, qk, rk, nu2, nu2_dot):
         yaw = FrameRates(pk, qk, rk)
-        ang = GimbalAngles(nu1=0.0, nu2=nu2, nu2_dot=nu2_dot)
-        out = pitch_rates(yaw, ang)
+        out = pitch_rates(GimbalState(nu2, nu2_dot, 0.0, 0.0), yaw)
         rotated = rot_yaw_to_pitch(nu2) @ np.array([pk, qk, rk])
         expected = rotated + np.array([0.0, nu2_dot, 0.0])
         np.testing.assert_allclose([out.about_x, out.about_y, out.about_z], expected, atol=1e-13)
@@ -130,8 +127,7 @@ class TestLosRates:
         # composing the two frame transforms must reproduce the closed form
         state = GimbalState(x1, x2, x3, x4)
         body = BodyRates(p, q, r)
-        ang = GimbalAngles(nu1=x3, nu2=x1, nu1_dot=x4, nu2_dot=x2)
-        chained = pitch_rates(yaw_rates(body, ang), ang)
+        chained = pitch_rates(state, yaw_rates(state, body))
         q_a, r_a = los_rates(state, body)
         assert q_a == pytest.approx(chained.about_y, abs=1e-13)
         assert r_a == pytest.approx(chained.about_z, abs=1e-13)
