@@ -130,13 +130,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_helper(produce: Callable[[], bytes]) -> tuple[int, int] | None:
+@contextlib.contextmanager
+def _helper(produce: Callable[[], bytes], what: str, filename: str | None = None):
     """Fork a helper process that writes the bytes ``produce()`` returns
-    to a pipe. Returns its pid and the pipe's read end, to be passed to
-    :func:`_joined`, or None if this process has to call ``produce``
-    itself: it cannot fork, it may run on one CPU only (the helper would
-    only add the fork's cost), or it runs other Python threads, one of
-    which a forked child could find holding a lock.
+    to a pipe, and yield the pipe as a binary file; the helper is reaped
+    when the block ends. Yields None, forking nothing, if this process
+    has to call ``produce`` itself: it cannot fork, it may run on one CPU
+    only (the helper would only add the fork's cost), or it runs other
+    Python threads, one of which a forked child could find holding a
+    lock. Any exception in the block, an interrupt too, kills and reaps
+    the helper first; a non-zero exit raises OSError (EIO) naming
+    ``what`` and ``filename``.
 
     Native threads that Python does not know of, such as numpy's BLAS
     pool, do not stop the fork: ``produce`` must call no BLAS routine
@@ -146,15 +150,17 @@ def _fork_helper(produce: Callable[[], bytes]) -> tuple[int, int] | None:
     from the copied address space; a spawned one would import numpy
     again and get them pickled.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1 or _usable_cpus() < 2:
-        return None
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
+    pid = None
+    if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield None
+        return
     if pid == 0:
         # The helper leaves only through os._exit: an exception must not
         # run the parent's code (exit handlers, buffered output, a test
@@ -170,15 +176,6 @@ def _fork_helper(produce: Callable[[], bytes]) -> tuple[int, int] | None:
         finally:
             os._exit(code)
     os.close(w)
-    return pid, r
-
-
-@contextlib.contextmanager
-def _joined(helper: tuple[int, int], what: str, filename: str | None = None):
-    """Yield a helper's pipe as a binary file, then reap the helper. Any
-    exception in the block, an interrupt too, kills and reaps it first;
-    a non-zero exit raises OSError (EIO) naming ``what`` and ``filename``."""
-    pid, r = helper
     with open(r, "rb") as pipe:
         try:
             yield pipe
@@ -209,15 +206,11 @@ def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     with open(path, "wb") as f:
         f.write((",".join(COLUMNS) + "\n").encode("ascii"))
         f.flush()  # a forked helper must not inherit buffered bytes
-        helper = None
-        if len(data) >= CSV_FORK_MIN_ROWS:
-            helper = _fork_helper(lambda: b"".join(_csv_blocks(data[mid:])))
-        if helper is None:
-            f.writelines(_csv_blocks(data))
-            return
-        with _joined(helper, "formatting helper", str(path)) as pipe:
-            f.writelines(_csv_blocks(data[:mid]))
-            shutil.copyfileobj(pipe, f, 1 << 16)
+        helper = _helper(lambda: b"".join(_csv_blocks(data[mid:])), "formatting helper", str(path))
+        with helper if len(data) >= CSV_FORK_MIN_ROWS else contextlib.nullcontext() as pipe:
+            f.writelines(_csv_blocks(data if pipe is None else data[:mid]))
+            if pipe is not None:
+                shutil.copyfileobj(pipe, f, 1 << 16)
 
 
 def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -335,9 +328,9 @@ def _ini_record(cp: configparser.ConfigParser, section: str, hints: dict) -> dic
     return values
 
 
-def _ini_build(section: str, cls, values: dict):
+def _ini_build(section: str, build: Callable, /, *args, **values):
     try:
-        return cls(**values)
+        return build(*args, **values)
     except (TypeError, ValueError) as e:  # a required key is missing, or a bad value
         raise ValueError(f"[{section}] {e}") from None
 
@@ -348,7 +341,8 @@ def scenario_from_ini(text: str) -> Scenario:
     Absent sections and keys keep the values of
     ``Scenario(controller="open-loop")``; ``[gains]`` needs ``c1`` and
     ``c2``, a ``custom-table`` platform all four of its channels. An
-    unknown section or key raises ValueError naming it.
+    unknown section or key raises ValueError naming it; the message of
+    any other error in a value starts with the value's section.
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
@@ -363,26 +357,35 @@ def scenario_from_ini(text: str) -> Scenario:
     if cp.has_section("platform"):
         kind = cp["platform"].get("kind", base.platform.kind)
         if kind not in _PLATFORMS:
-            raise ValueError(f"unknown platform kind {kind!r}; valid: {', '.join(_PLATFORMS)}")
+            raise ValueError(
+                f"[platform] unknown platform kind {kind!r}; valid: {', '.join(_PLATFORMS)}"
+            )
         cls = _PLATFORMS[kind]
         values = _ini_record(cp, "platform", {"kind": str, **_hints(cls)})
         values.pop("kind", None)
-        changes["platform"] = _ini_build("platform", cls, values)
+        changes["platform"] = _ini_build("platform", cls, **values)
     if cp.has_section("inertia"):
         values = _ini_record(cp, "inertia", dict.fromkeys(_INERTIA, float))
         matrices = {m: getattr(base.model, m).copy() for m in ("pitch_gimbal", "yaw_gimbal")}
         for key, v in values.items():
             matrix, i, j = _INERTIA[key]
             matrices[matrix][i, j] = matrices[matrix][j, i] = v
-        changes["model"] = _ini_build("inertia", InertiaModel, matrices)
+        changes["model"] = _ini_build("inertia", InertiaModel, **matrices)
     for section, (attr, cls) in _RECORDS.items():
         if cp.has_section(section):
             hints = _hints(cls)
             current = getattr(base, attr)
             values = {} if current is None else {k: getattr(current, k) for k in hints}
             values.update(_ini_record(cp, section, hints))
-            changes[attr] = _ini_build(section, cls, values)
-    return replace(base, **changes)
+            changes[attr] = _ini_build(section, cls, **values)
+    # Scenario checks the initial state and the gains its controller
+    # needs beside the [scenario] keys; each is checked here first, under
+    # its own section, and the coarse-step warning comes once, at the end
+    if "initial_state" in changes:
+        base = _ini_build("initial", replace, base, initial_state=changes.pop("initial_state"))
+    if changes.get("controller") == "los-track" and "gains" in changes:
+        _ini_build("gains", changes["gains"].require_full)
+    return _ini_build("scenario", replace, base, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +776,11 @@ def run_verify_suite(suite: str) -> list[CheckResult]:
         return verify_oracle()
     if suite == "all":
         # The roundtrip suite runs in a forked helper beside decay and
-        # oracle; its result comes back pickled by our own child.
-        helper = _fork_helper(lambda: pickle.dumps(verify_roundtrip()))
-        if helper is None:
-            return [verify_roundtrip(), *verify_decay(), *verify_oracle()]
-        with _joined(helper, "roundtrip helper") as pipe:
+        # oracle, or here after them; the helper sends its result pickled.
+        with _helper(lambda: pickle.dumps(verify_roundtrip()), "roundtrip helper") as pipe:
             rest = [*verify_decay(), *verify_oracle()]
-            roundtrip = pipe.read()
-        return [pickle.loads(roundtrip), *rest]
+            pickled = None if pipe is None else pipe.read()
+        return [verify_roundtrip() if pickled is None else pickle.loads(pickled), *rest]
     raise ValueError(f"unknown verify suite {suite!r}")
 
 
@@ -895,8 +895,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        rec_a = integrate(preset(args.preset_a))
-        rec_b = integrate(preset(args.preset_b))
+        sc_a, sc_b = preset(args.preset_a), preset(args.preset_b)
+        rec_a, rec_b = integrate(sc_a), integrate(sc_b)
     except (UnknownPresetError, SimulationDiverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

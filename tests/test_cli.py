@@ -1,5 +1,7 @@
+import configparser
 import errno
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -263,6 +265,33 @@ class TestForkedHelper:
         [(_, status)] = reaped
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
+    def test_interrupt_while_formatting_kills_and_reaps_trace_helper(self, tmp_path, monkeypatch):
+        # the helper's part would take a minute; only the kill ends it
+        parent = os.getpid()
+        real_blocks = cli._csv_blocks
+
+        def blocks(rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+            yield from itertools.islice(real_blocks(rows), 1)
+            raise KeyboardInterrupt
+
+        reaped = []
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            reaped.append(real_waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(cli, "_csv_blocks", blocks)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        calls = count_forks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            cli.write_trace_csv(codec_record(F), tmp_path / "trace.csv")
+        assert len(calls) == 1
+        [(_, status)] = reaped
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # positive gains that keep every drawn step_size below the coarse-step warning
@@ -318,6 +347,33 @@ def scenarios(draw):
     )
 
 
+MUTATIONS = ("drop", "duplicate", "x", "nan", "inf", "-inf", "negative", "1e308")
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset's config text with one key dropped, duplicated or given
+    a bad value, and the section of that key."""
+    text = cli.scenario_to_ini(sim.preset(draw(st.sampled_from(sim.preset_names()))))
+    lines = text.splitlines(keepends=True)
+    keys, section = [], None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]\n")
+        elif " = " in line:
+            keys.append((i, section))
+    i, section = draw(st.sampled_from(keys))
+    key, value = lines[i].rstrip("\n").split(" = ", 1)
+    how = draw(st.sampled_from(MUTATIONS))
+    if how == "drop":
+        lines[i] = ""
+    elif how == "duplicate":
+        lines[i] *= 2
+    else:
+        lines[i] = f"{key} = {'-' + value if how == 'negative' else how}\n"
+    return "".join(lines), section
+
+
 class TestScenarioConfig:
     @seed(14)
     @settings(max_examples=50)
@@ -364,6 +420,18 @@ class TestScenarioConfig:
             cli.scenario_from_ini(text)
         for part in named:
             assert part in str(info.value)
+
+    @pytest.mark.filterwarnings("ignore:step_size")
+    @seed(15)
+    @settings(max_examples=100)
+    @given(mutated_presets())
+    def test_single_key_mutation_loads_or_names_its_section(self, mutated):
+        text, section = mutated
+        try:
+            cli.scenario_from_ini(text)
+        except (ValueError, configparser.Error) as e:
+            # configparser's own errors name a section as "section 'name'"
+            assert f"[{section}]" in str(e) or f"section {section!r}" in str(e), str(e)
 
     def test_values_are_literal(self):
         sc = Scenario(name="50% a&b", controller="open-loop")
@@ -485,7 +553,8 @@ class TestRunCommand:
                 "[platform]\nkind = custom-table\ntimes = 0, 1\np = 0, nan\nq = 0, 0\nr = 0, 0\n",
                 "platform p",
             ),
-            ("[initial]\nx1 = nan\n", "initial state x1 must be finite"),
+            ("[initial]\nx1 = nan\n", "[initial] initial state x1 must be finite"),
+            ("[platform]\nkind = abc\n", "[platform] unknown platform kind 'abc'"),
             ("[inertia]\npitch_xy = 0.001\n", "pitch product of inertia xy"),
             ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments"),
             # a constructor's own check names the section
@@ -502,6 +571,23 @@ class TestRunCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "badout").exists()
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ("controller = abc\n", "[scenario] unknown controller 'abc'; valid: "),
+            ("duration = -1\n", "[scenario] duration must be positive"),
+            ("step_size = 0.0007\n", "[scenario] duration 60 must be a whole number of steps of 0.0007"),
+        ],
+        ids=["controller", "duration", "step_size"],
+    )
+    def test_bad_scenario_value_exits_2_naming_section(self, tmp_path, capsys, values, error):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[scenario]\nname = bad\n" + values)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "badout")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "badout").exists()
+
     def test_config_missing_los_gain_exits_2_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "nogain.ini"
         cfg.write_text(
@@ -510,7 +596,7 @@ class TestRunCommand:
         )
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "nogainout")])
         assert code == 2
-        assert "c1..c4, missing c3" in capsys.readouterr().err
+        assert "[gains] LOS tracking needs all four gains c1..c4, missing c3" in capsys.readouterr().err
         assert not (tmp_path / "nogainout").exists()
 
     @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", "", "a\x00b"])
@@ -704,6 +790,14 @@ class TestCompareCommand:
 
     def test_unknown_preset_rejected(self, capsys):
         assert cli.main(["compare", "fig3-stab", "what"]) != 0
+
+    def test_unknown_second_preset_exits_2_before_integrating(self, capsys, monkeypatch):
+        def integrate(sc):
+            raise AssertionError(f"integrated {sc.name} before both presets were found")
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        assert cli.main(["compare", "fig3-stab", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown preset 'nope'")
 
 
 class TestPresetsCommand:
