@@ -26,10 +26,10 @@ import errno
 import functools
 import io
 import math
+import mmap
 import os
 import pickle
 import random
-import shutil
 import signal
 import sys
 import threading
@@ -75,6 +75,7 @@ from .sim import (
     fit_decay_slope,
     integrate,
     integrated_abs_error,
+    observe_blocks,
     peak_abs_error,
     preset,
     preset_description,
@@ -97,12 +98,13 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-# Rows formatted per ``%`` operation. Larger blocks save little time but
-# hold more strings at once: writing a 60 s trace raises peak RSS by
+# Rows formatted per ``%`` operation, and the chunk of rows the trace
+# writer's two processes claim at a time. Larger blocks save little time
+# but hold more strings at once: writing a 60 s trace raises peak RSS by
 # about 19 MB with 16384-row blocks, by about 1 MB with 1024.
 CSV_BLOCK_ROWS = 1024
-# Rows from which ``write_trace_csv`` forks a formatting helper; more
-# than one block, so that both processes get rows. With the second core
+# Rows from which the trace writer forks a formatting helper; more than
+# one block, so that both processes get rows. With the second core
 # free, the fork (about 5 ms) breaks even near 1,500 rows on a 2-vCPU
 # VM and wins in 18-24 of 25 alternating writes at 2,048 rows, in 20-25
 # of 25 from 4,096 rows on.
@@ -131,86 +133,199 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _helper(produce: Callable[[], bytes], what: str, filename: str | None = None):
-    """Fork a helper process that writes the bytes ``produce()`` returns
-    to a pipe, and yield the pipe as a binary file; the helper is reaped
-    when the block ends. Yields None, forking nothing, if this process
-    has to call ``produce`` itself: it cannot fork, it may run on one CPU
-    only (the helper would only add the fork's cost), or it runs other
-    Python threads, one of which a forked child could find holding a
-    lock. Any exception in the block, an interrupt too, kills and reaps
-    the helper first; a non-zero exit raises OSError (EIO) naming
-    ``what`` and ``filename``.
+def _helper(work: Callable[[], None], what: str, filename: str | None = None):
+    """Fork a helper process that calls ``work()`` and exits, and yield
+    True; the helper is reaped when the block ends. Yields False,
+    forking nothing, if this process has to do the work itself: it
+    cannot fork, it may run on one CPU only (the helper would only add
+    the fork's cost), or it runs other Python threads, one of which a
+    forked child could find holding a lock. Any exception in the block,
+    an interrupt too, kills and reaps the helper first; a non-zero exit
+    (``work`` raised) raises OSError (EIO) naming ``what`` and
+    ``filename``.
 
     Native threads that Python does not know of, such as numpy's BLAS
-    pool, do not stop the fork: ``produce`` must call no BLAS routine
-    (the CSV formatter calls ``tolist``, ``%`` and ``encode``, the
-    roundtrip suite scalar arithmetic), and glibc's malloc resets its
-    locks in the child of a ``fork``. A forked helper reads its inputs
-    from the copied address space; a spawned one would import numpy
-    again and get them pickled.
+    pool, do not stop the fork: ``work`` must call no BLAS routine (the
+    CSV formatter calls ``tolist``, ``%`` and ``encode``, the roundtrip
+    suite scalar arithmetic), and glibc's malloc resets its locks in
+    the child of a ``fork``. A forked helper reads its inputs from the
+    copied address space; a spawned one would import numpy again and
+    get them pickled.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2:
-        r, w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(r)
-            os.close(w)
+            pass
     if pid is None:
-        yield None
+        yield False
         return
     if pid == 0:
         # The helper leaves only through os._exit: an exception must not
         # run the parent's code (exit handlers, buffered output, a test
-        # runner) a second time. It produces everything before writing,
-        # because the parent reads the pipe only after its own part.
+        # runner) a second time. ``work`` flushes what it writes.
         code = 1
         try:
-            os.close(r)
-            data = produce()
-            with open(w, "wb") as pipe:
-                pipe.write(data)
+            work()
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    with open(r, "rb") as pipe:
-        try:
-            yield pipe
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
+    try:
+        yield True
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
     status = os.waitpid(pid, 0)[1]
     if status != 0:
         code = os.waitstatus_to_exitcode(status)
         raise OSError(errno.EIO, f"{what} exited with status {code}", filename)
 
 
+class _TraceWriter:
+    """The state of one trace CSV write; see :func:`_trace_writer`.
+
+    With a helper, the rows and three counters live in one shared
+    anonymous mapping: the next chunk from the front, the end of the
+    unclaimed chunks and the rows stored. Either process reads or
+    moves a counter only while it holds the one byte of the token pipe.
+    """
+
+    def __init__(self, f, path: str, stack: contextlib.ExitStack):
+        self.f, self.path, self.stack = f, path, stack
+        self.data = None  # the observed record array
+        self.stored = 0  # rows of it stored
+        self.shared = None  # its rows in the mapping, while a helper runs
+
+    def observe(self, data: np.ndarray, rows: int) -> None:
+        """The block observer: rows ``0..rows`` of ``data`` are stored."""
+        if self.data is None:
+            self.data = data
+            if len(data) >= CSV_FORK_MIN_ROWS:
+                self._fork(rows)
+        elif self.shared is not None and rows > self.stored:
+            self.shared[self.stored : rows] = data[self.stored : rows]
+            with self._token():
+                self.counters[2] = rows
+            self.notify.write(b"\0")  # returns None if the pipe is full
+        self.stored = rows
+
+    def _fork(self, rows: int) -> None:
+        data = self.data
+        mapping = mmap.mmap(-1, 8 * (3 + data.size))
+        self.counters = memoryview(mapping)[:24].cast("q")
+        self.counters[1] = -(-len(data) // CSV_BLOCK_ROWS)
+        self.counters[2] = rows
+        self.shared = np.frombuffer(mapping, offset=24).reshape(data.shape)
+        self.shared[:rows] = data[:rows]
+        # One byte per block of rows stored. This process keeps the read
+        # end open, so a notification to a helper that failed gets no
+        # EPIPE, and a full pipe does not block it.
+        self.wake, self.notify = self._pipe()
+        os.set_blocking(self.notify.fileno(), False)
+        self.take, self.give = self._pipe()  # holds the token while no one does
+        self.give.write(b"\0")
+        if not self.stack.enter_context(_helper(self._front, "formatting helper", self.path)):
+            self.shared = None
+
+    def _pipe(self):
+        r, w = os.pipe()
+        return (self.stack.enter_context(open(r, "rb", buffering=0)),
+                self.stack.enter_context(open(w, "wb", buffering=0)))
+
+    @contextlib.contextmanager
+    def _token(self):
+        self.take.read(1)
+        try:
+            yield
+        finally:
+            self.give.write(b"\0")
+
+    def _claim(self, front: bool) -> int | None:
+        """The next unclaimed chunk from the front or the back, or None
+        once the two ends have met."""
+        with self._token():
+            lo, hi = self.counters[0], self.counters[1]
+            if lo >= hi:
+                return None
+            if front:
+                self.counters[0] = lo + 1
+                return lo
+            self.counters[1] = hi - 1
+            return hi - 1
+
+    def _front(self) -> None:
+        """The helper's part: write the chunks it claims from the front
+        to the file once their rows are stored."""
+        self.notify.close()  # so that a writer that died reads as EOF
+        while (i := self._claim(front=True)) is not None:
+            end = min((i + 1) * CSV_BLOCK_ROWS, len(self.shared))
+            while True:
+                with self._token():
+                    if self.counters[2] >= end:
+                        break
+                if not self.wake.read(4096):
+                    raise EOFError("the trace writer stopped before its rows were stored")
+            self.f.writelines(_csv_blocks(self.shared[i * CSV_BLOCK_ROWS : end]))
+        self.f.flush()
+
+    def back(self) -> list[bytes]:
+        """This process's part once the record is stored, in file order:
+        with a helper, the chunks it claims from the back; without one,
+        every row, written here."""
+        if self.shared is None:
+            self.f.writelines(_csv_blocks(self.data))
+            return []
+        chunks = []
+        while (i := self._claim(front=False)) is not None:
+            chunks += _csv_blocks(self.data[i * CSV_BLOCK_ROWS : (i + 1) * CSV_BLOCK_ROWS])
+        return chunks[::-1]
+
+
+@contextlib.contextmanager
+def _trace_writer(path: Path | str):
+    """Write a trace CSV at ``path`` from the rows of a record as they
+    are stored; yield the block observer (see ``sim.observe_blocks``)
+    that takes them. When the block ends the observed record must be
+    stored in full.
+
+    A record of at least ``CSV_FORK_MIN_ROWS`` rows is formatted on two
+    cores. Its first observation forks a helper (see :func:`_helper`),
+    and each one copies the new rows to memory shared with the helper
+    and wakes it with one pipe byte. The helper writes chunks from the
+    front as their rows arrive; when the block ends this process
+    formats chunks from the back until the two meet, reaps the helper
+    and appends its own. Otherwise this process formats every row when
+    the block ends. The bytes do not depend on who formats what. Any
+    exception, an interrupt too, kills and reaps the helper and removes
+    the partial file; a failed helper raises OSError (EIO) naming
+    ``path``.
+    """
+    with open(path, "wb") as f:
+        try:
+            f.write((",".join(COLUMNS) + "\n").encode("ascii"))
+            f.flush()  # a forked helper must not inherit buffered bytes
+            with contextlib.ExitStack() as stack:
+                writer = _TraceWriter(f, str(path), stack)
+                yield writer.observe
+                chunks = writer.back()
+            f.seek(0, os.SEEK_END)  # after the helper's chunks
+            f.writelines(chunks)
+        except BaseException:
+            f.close()
+            Path(path).unlink(missing_ok=True)
+            raise
+
+
 def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     """Write the trace with a header row, 17 significant digits per
     value (lossless for float64), '.' decimal separator, newline
-    terminated.
-
-    A trace of at least ``CSV_FORK_MIN_ROWS`` rows is formatted on two
-    cores: a forked helper formats the rows from the block boundary at
-    or above the middle on while this process formats the rows before
-    it. The helper, which starts later, gets the smaller part. The
-    bytes do not depend on the split. Raises OSError naming ``path`` if
-    the helper fails.
+    terminated: :func:`_trace_writer` fed the finished record. Raises
+    OSError naming ``path`` if the formatting helper fails.
     """
-    data = record.data
-    mid = -(-len(data) // (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
-    with open(path, "wb") as f:
-        f.write((",".join(COLUMNS) + "\n").encode("ascii"))
-        f.flush()  # a forked helper must not inherit buffered bytes
-        helper = _helper(lambda: b"".join(_csv_blocks(data[mid:])), "formatting helper", str(path))
-        with helper if len(data) >= CSV_FORK_MIN_ROWS else contextlib.nullcontext() as pipe:
-            f.writelines(_csv_blocks(data if pipe is None else data[:mid]))
-            if pipe is not None:
-                shutil.copyfileobj(pipe, f, 1 << 16)
+    with _trace_writer(path) as observe:
+        observe(record.data, record.n_rows)
 
 
 def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -335,8 +450,9 @@ def _ini_build(section: str, build: Callable, /, *args, **values):
         raise ValueError(f"[{section}] {e}") from None
 
 
-def scenario_from_ini(text: str) -> Scenario:
-    """Parse a scenario in the format of :func:`scenario_to_ini`.
+def scenario_from_ini(text: str, source: str = "<string>") -> Scenario:
+    """Parse a scenario in the format of :func:`scenario_to_ini`;
+    configparser's own errors name ``source`` as the text's origin.
 
     Absent sections and keys keep the values of
     ``Scenario(controller="open-loop")``; ``[gains]`` needs ``c1`` and
@@ -345,7 +461,7 @@ def scenario_from_ini(text: str) -> Scenario:
     any other error in a value starts with the value's section.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(text)
+    cp.read_string(text, source)
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]; valid: {', '.join(_SECTIONS)}")
@@ -369,6 +485,10 @@ def scenario_from_ini(text: str) -> Scenario:
         matrices = {m: getattr(base.model, m).copy() for m in ("pitch_gimbal", "yaw_gimbal")}
         for key, v in values.items():
             matrix, i, j = _INERTIA[key]
+            if not math.isfinite(v):
+                raise ValueError(f"[inertia] {key} must be finite, got {v!r}")
+            if i == j and v <= 0.0:
+                raise ValueError(f"[inertia] {key} must be positive, got {v!r}")
             matrices[matrix][i, j] = matrices[matrix][j, i] = v
         changes["model"] = _ini_build("inertia", InertiaModel, **matrices)
     for section, (attr, cls) in _RECORDS.items():
@@ -777,9 +897,17 @@ def run_verify_suite(suite: str) -> list[CheckResult]:
     if suite == "all":
         # The roundtrip suite runs in a forked helper beside decay and
         # oracle, or here after them; the helper sends its result pickled.
-        with _helper(lambda: pickle.dumps(verify_roundtrip()), "roundtrip helper") as pipe:
-            rest = [*verify_decay(), *verify_oracle()]
-            pickled = None if pipe is None else pipe.read()
+        r, w = os.pipe()
+        with open(r, "rb") as results, open(w, "wb") as send:
+
+            def roundtrip():  # in the helper
+                send.write(pickle.dumps(verify_roundtrip()))
+                send.flush()
+
+            with _helper(roundtrip, "roundtrip helper") as forked:
+                send.close()  # the helper's copy stays open until it exits
+                rest = [*verify_decay(), *verify_oracle()]
+                pickled = results.read() if forked else None
         return [verify_roundtrip() if pickled is None else pickle.loads(pickled), *rest]
     raise ValueError(f"unknown verify suite {suite!r}")
 
@@ -838,7 +966,7 @@ def _load_scenario(args) -> Scenario:
     if args.preset:
         sc = preset(args.preset)
     else:
-        sc = scenario_from_ini(Path(args.config).read_text())
+        sc = scenario_from_ini(Path(args.config).read_text(), args.config)
     if args.step_size is not None:
         sc = replace(sc, step_size=args.step_size)
     if args.seed is not None:
@@ -858,14 +986,17 @@ def cmd_run(args) -> int:
     except OSError as e:
         print(f"error: cannot create output directory: {e}", file=sys.stderr)
         return 2
-    try:
-        record = integrate(sc)
-    except SimulationDiverged as e:
-        print(f"error: simulation diverged: {e}", file=sys.stderr)
-        return 2
     trace, resolved = outdir / TRACE_FILENAME, outdir / RESOLVED_FILENAME
     try:
-        write_trace_csv(record, trace)
+        try:
+            # trace.csv is formatted while the scenario is integrated
+            with _trace_writer(trace) as observe, observe_blocks(observe):
+                record = integrate(sc)
+                observe(record.data, record.n_rows)
+        except SimulationDiverged as e:
+            print(f"error: simulation diverged: {e}", file=sys.stderr)
+            write_trace_csv(e.record, trace)  # the rows up to the blow-up
+            return 2
         resolved.write_text(scenario_to_ini(record.scenario))
         plots = emit_plots(record, outdir) if args.plots else []
     except OSError as e:

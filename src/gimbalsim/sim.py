@@ -17,6 +17,8 @@ traces.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import os
 import random
@@ -24,7 +26,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,7 @@ __all__ = [
     "Scenario",
     "SimRecord",
     "integrate",
+    "observe_blocks",
     "preset",
     "preset_names",
     "preset_description",
@@ -98,11 +101,17 @@ MAX_STEPS = 10_000_000
 
 
 class SimulationDiverged(RuntimeError):
-    """A state component became non-finite during integration."""
+    """A state component became non-finite during integration.
+
+    ``record``, set by :func:`integrate`, is the trace up to the
+    blow-up: a :class:`SimRecord` whose last row is the step from which
+    the state left the finite range.
+    """
 
     def __init__(self, t: float, state: GimbalState):
         self.t = t
         self.state = state
+        self.record: SimRecord | None = None
         super().__init__(f"non-finite state at t={t:.6g}: {state}")
 
 
@@ -390,6 +399,31 @@ class SimRecord:
 # flat however long the run.
 _BLOCK = 256
 
+# The block observer of the current context; see observe_blocks.
+_observer: contextvars.ContextVar[Callable[[np.ndarray, int], None] | None] = (
+    contextvars.ContextVar("gimbalsim_block_observer", default=None)
+)
+
+
+@contextlib.contextmanager
+def observe_blocks(observer: Callable[[np.ndarray, int], None]):
+    """Within the ``with`` block, each :func:`integrate` call in this
+    context calls ``observer(data, rows)`` after it stores a block of
+    rows. ``data`` is the record's whole ``(n_steps + 1, len(COLUMNS))``
+    array, of which rows ``0..rows`` are stored and final; the last
+    call has ``rows == len(data)``. ``integrate`` reads the observer
+    once per call and calls it between blocks, never inside the step
+    loop; an exception the observer raises ends the integration.
+
+    This is how a caller sees the trace while it is integrated, such as
+    the CLI's trace writer, which formats stored rows on a second core.
+    """
+    token = _observer.set(observer)
+    try:
+        yield
+    finally:
+        _observer.reset(token)
+
 
 def _time_samples(sc: Scenario, los: bool):
     """Yield, for each block of up to ``_BLOCK`` steps of ``sc``, its
@@ -422,6 +456,19 @@ def _time_samples(sc: Scenario, los: bool):
         yield k0, zip(range(k0, n + 1), *(c.tolist() for c in cols))
 
 
+def _diverged(
+    t: float, state: GimbalState, record: SimRecord, k0: int, rows: list
+) -> SimulationDiverged:
+    """The exception for a blow-up at ``t``, whose ``record`` keeps the
+    rows integrated before it: the block's pending ``rows``, from step
+    ``k0`` on, are stored in ``record.data`` first."""
+    data, ncol = record.data, len(COLUMNS)
+    data.reshape(-1)[ncol * k0:ncol * k0 + len(rows)] = rows
+    exc = SimulationDiverged(t, state)
+    exc.record = SimRecord(data[: k0 + len(rows) // ncol], record.scenario)
+    return exc
+
+
 def integrate(scenario: Scenario) -> SimRecord:
     """Run the scenario and return its trace.
 
@@ -434,9 +481,11 @@ def integrate(scenario: Scenario) -> SimRecord:
     so the trace has the same bits as one built from ``rates`` and the
     references' ``value``/``d1``/``d2``. Each block's rows are collected
     in one flat list and stored in the record with one slice
-    assignment. The scenario's inputs were checked when it was built,
-    so the only error raised here is :class:`SimulationDiverged`, when
-    the state leaves the finite range.
+    assignment, after which the observer of :func:`observe_blocks`, if
+    one is set, is called. The scenario's inputs were checked when it
+    was built, so the only error raised here is
+    :class:`SimulationDiverged`, when the state leaves the finite
+    range; its ``record`` holds the rows up to the blow-up.
     """
     sc = scenario
     model = sc.model
@@ -447,6 +496,8 @@ def integrate(scenario: Scenario) -> SimRecord:
     gthr = sc.guard.threshold
     rec = np.empty((n + 1, len(COLUMNS)))
     flat, ncol = rec.reshape(-1), len(COLUMNS)  # flat is a view of rec
+    record = SimRecord(rec, sc)
+    observe = _observer.get()
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
 
@@ -568,7 +619,7 @@ def integrate(scenario: Scenario) -> SimRecord:
             except (ValueError, OverflowError) as exc:
                 # trig of an overflowed stage state; same root cause as the
                 # post-step finiteness check
-                raise SimulationDiverged(t, GimbalState(x1, x2, x3, x4, tq, tr)) from exc
+                raise _diverged(t, GimbalState(x1, x2, x3, x4, tq, tr), record, k0, rows) from exc
             x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
             x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
             x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
@@ -579,11 +630,13 @@ def integrate(scenario: Scenario) -> SimRecord:
                 isfinite(x1) and isfinite(x2) and isfinite(x3)
                 and isfinite(x4) and isfinite(tq) and isfinite(tr)
             ):
-                raise SimulationDiverged(t + h, GimbalState(x1, x2, x3, x4, tq, tr))
+                raise _diverged(t + h, GimbalState(x1, x2, x3, x4, tq, tr), record, k0, rows)
         flat[ncol * k0:ncol * k0 + len(rows)] = rows
+        if observe is not None:
+            observe(rec, k0 + len(rows) // ncol)
         del rows, steps  # free this block's floats before the next is sampled
 
-    return SimRecord(rec, sc)
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gimbalsim import cli, sim
@@ -34,26 +35,31 @@ def test_every_traced_boundary_is_a_cli_attribute(tracing):
     assert not missing
 
 
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize(
-    "argv, integrations",
+    "argv, integrations, duration",
     [
-        (["run", "--preset", "fig4-step-pid", "--plots", "--seed", "3"], 1),
-        (["verify", "decay"], 1),
-        (["verify", "all"], 1),
-        (["compare", "fig3-stab", "fig4-step"], 2),
+        # 5,001 rows: enough for run to stream the trace through its helper
+        (["run", "--preset", "fig4-step-pid", "--plots", "--seed", "3"], 1, 5.0),
+        (["verify", "decay"], 1, 1.0),
+        (["verify", "all"], 1, 1.0),
+        (["compare", "fig3-stab", "fig4-step"], 2, 1.0),
     ],
     ids=["run", "verify-decay", "verify-all", "compare"],
 )
-def test_commands_integrate_through_the_cli_global(monkeypatch, tmp_path, capsys, argv, integrations):
+def test_commands_integrate_through_the_cli_global(
+    monkeypatch, tmp_path, capsys, argv, integrations, duration
+):
     # every integration enters through cli.integrate with the scenario
     # as its one positional argument; the RK4 kernel samples its inputs
     # once per integration, so counting those calls counts integrations
     real_integrate, real_samples = cli.integrate, sim._time_samples
-    wrapped, kernel = [], []
+    wrapped, kernel, records = [], [], []
 
     def integrate(*args, **kwargs):
         wrapped.append((args, kwargs))
-        return real_integrate(replace(args[0], duration=1.0))  # shortened to keep the test quick
+        records.append(real_integrate(replace(args[0], duration=duration)))  # shortened
+        return records[-1]
 
     def time_samples(*args):
         kernel.append(args[0])
@@ -63,11 +69,17 @@ def test_commands_integrate_through_the_cli_global(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(sim, "_time_samples", time_samples)
     if argv[0] == "run":
         argv = [*argv, "--out", str(tmp_path / "out")]
-    cli.main(argv)
+    rc = cli.main(argv)
     capsys.readouterr()
     assert len(wrapped) == len(kernel) == integrations
     for args, kwargs in wrapped:
         assert len(args) == 1 and not kwargs and isinstance(args[0], sim.Scenario)
+    if argv[0] == "run":
+        # the trace streamed while integrated is the captured record
+        assert rc == 0
+        header, data = cli.read_trace_csv(tmp_path / "out" / cli.TRACE_FILENAME)
+        assert header == sim.COLUMNS and len(data) > cli.CSV_FORK_MIN_ROWS
+        assert np.array_equal(data.view(np.uint64), records[0].data.view(np.uint64))
 
 
 def _records():

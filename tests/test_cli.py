@@ -1,4 +1,5 @@
 import configparser
+import contextvars
 import errno
 import hashlib
 import itertools
@@ -17,7 +18,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from gimbalsim import cli, sim
 from gimbalsim.control import ControlGains, GuardSpec, PidParams
@@ -135,14 +136,26 @@ class TestTraceCsv:
         assert len(calls) == forks
 
     @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
-    def test_helper_gets_the_smaller_part_from_a_block_boundary(self, tmp_path, monkeypatch, n_rows):
-        parts = []  # the helper's calls append in its own memory only
+    def test_parent_claims_chunks_from_the_back(self, tmp_path, monkeypatch, n_rows):
+        # the helper takes its first chunk from the front and then stalls,
+        # so this process claims every other chunk, from the back down
+        parent, starts = os.getpid(), []  # the helper's calls append in its own memory only
         real_blocks = cli._csv_blocks
-        monkeypatch.setattr(cli, "_csv_blocks", lambda rows: parts.append(len(rows)) or real_blocks(rows))
-        cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
-        [mid] = parts  # the first block boundary at or above the middle
-        helper_rows = n_rows - mid
-        assert helper_rows > 0 and mid % B == 0 and mid - B < n_rows / 2 <= mid
+
+        def blocks(rows):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            starts.append((int(rows[0, 0]), len(rows)))
+            return real_blocks(rows)
+
+        monkeypatch.setattr(cli, "_csv_blocks", blocks)
+        rec = codec_record(n_rows)
+        rec.data[:, 0] = np.arange(n_rows)  # each row's index in its first cell
+        cli.write_trace_csv(rec, tmp_path / "trace.csv")
+        chunks = [(a, min(B, n_rows - a)) for a in range(0, n_rows, B)]
+        assert starts == chunks[:0:-1]
+        reference_write(rec.data, tmp_path / "reference.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
@@ -154,6 +167,45 @@ class TestTraceCsv:
             cli.write_trace_csv(codec_record(F), path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "sizes, forks", [([0, 1, B - 1, B + 1, F - 1], 0), ([F, F + 1, F + B + 3], 1)],
+        ids=["in-process", "helper"],
+    )
+    @seed(16)
+    @settings(
+        max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        data=st.data(),
+        cells=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        streamed=st.booleans(),
+    )
+    def test_read_inverts_write_on_finite_arrays(
+        self, tmp_path, monkeypatch, sizes, forks, data, cells, cuts, streamed
+    ):
+        # the record finished, or its rows observed as they are stored
+        calls = count_forks(monkeypatch)
+        n_rows = data.draw(st.sampled_from(sizes))
+        rng = np.random.default_rng(cells)
+        shape = (n_rows, len(sim.COLUMNS))
+        values = rng.uniform(-1.79, 1.79, shape) * 10.0 ** rng.integers(-323, 308, shape)
+        edge = (-0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308)
+        values.reshape(-1)[rng.random(values.size) < 0.2] = rng.choice(edge)
+        path = tmp_path / "trace.csv"
+        if streamed:
+            with cli._trace_writer(path) as observe:
+                for rows in sorted(int(c * n_rows) for c in cuts) + [n_rows]:
+                    observe(values, rows)
+        else:
+            cli.write_trace_csv(sim.SimRecord(values, Scenario(controller="open-loop")), path)
+        assert len(calls) == forks
+        header, back = cli.read_trace_csv(path)
+        assert header == sim.COLUMNS
+        assert back.shape == shape
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 
     @pytest.mark.parametrize("trailer", ["", "\n", " \n\n"], ids=["bare", "blank-line", "blank-lines"])
     def test_header_only_reads_as_empty_table(self, tmp_path, trailer):
@@ -292,6 +344,29 @@ class TestForkedHelper:
         [(_, status)] = reaped
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_observer_failure_mid_run_leaves_no_child_and_no_trace(self, tmp_path, monkeypatch, error):
+        # the trace writer's observer raises at the third block of rows,
+        # after it forked its helper
+        real_observe_blocks, seen = cli.observe_blocks, []
+
+        def observe_blocks(observe):
+            def failing(data, rows):
+                observe(data, rows)
+                seen.append(rows)
+                if len(seen) == 3:
+                    raise error()
+
+            return real_observe_blocks(failing)
+
+        monkeypatch.setattr(cli, "observe_blocks", observe_blocks)
+        calls = count_forks(monkeypatch)
+        out = tmp_path / "out"
+        with pytest.raises(error):
+            cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.01", "--out", str(out)])
+        assert len(calls) == 1 and len(seen) == 3
+        assert list(out.iterdir()) == []
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # positive gains that keep every drawn step_size below the coarse-step warning
@@ -371,7 +446,12 @@ def mutated_presets(draw):
         lines[i] *= 2
     else:
         lines[i] = f"{key} = {'-' + value if how == 'negative' else how}\n"
-    return "".join(lines), section
+    # an [inertia] value that is not finite, or a moment that is not
+    # positive, is refused naming its key
+    named = section == "inertia" and (
+        how in ("nan", "inf", "-inf") or (how == "negative" and key[-1] == key[-2])
+    )
+    return "".join(lines), section, key if named else None
 
 
 class TestScenarioConfig:
@@ -426,12 +506,15 @@ class TestScenarioConfig:
     @settings(max_examples=100)
     @given(mutated_presets())
     def test_single_key_mutation_loads_or_names_its_section(self, mutated):
-        text, section = mutated
+        text, section, key = mutated
         try:
             cli.scenario_from_ini(text)
         except (ValueError, configparser.Error) as e:
             # configparser's own errors name a section as "section 'name'"
             assert f"[{section}]" in str(e) or f"section {section!r}" in str(e), str(e)
+            assert key is None or f"[{section}] {key} " in str(e), str(e)
+        else:
+            assert key is None, f"{key} mutated, yet the config loaded"
 
     def test_values_are_literal(self):
         sc = Scenario(name="50% a&b", controller="open-loop")
@@ -559,7 +642,8 @@ class TestRunCommand:
             ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments"),
             # a constructor's own check names the section
             ("[reference_r]\nkind = step\namplitude = nan\n", "[reference_r] reference amplitude"),
-            ("[inertia]\npitch_yy = nan\n", "[inertia] pitch_gimbal has non-finite entries"),
+            ("[inertia]\npitch_yy = nan\n", "[inertia] pitch_yy must be finite, got nan"),
+            ("[inertia]\nyaw_zz = -0.002\n", "[inertia] yaw_zz must be positive, got -0.002"),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, section, field):
@@ -626,6 +710,17 @@ class TestRunCommand:
         assert "60,000,000,000 steps, more than MAX_STEPS" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_duplicate_key_exits_2_naming_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.ini"
+        cfg.write_text("[scenario]\nname = dup\nname = again\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "dupout")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: While reading from {str(cfg)!r} [line  3]: "
+            "option 'name' in section 'scenario' already exists\n"
+        )
+        assert not (tmp_path / "dupout").exists()
+
     def test_config_typo_exits_2_naming_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"
         cfg.write_text("[scenario]\nname = typo\ncontroler = stabilize\nduration = 0.1\n")
@@ -677,6 +772,17 @@ class TestRunCommand:
         reference_write(np.load(tmp_path / "data.npy"), tmp_path / "reference.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.usefixtures("two_cpus")
+    def test_trace_is_the_returned_record_when_no_block_was_observed(self, tmp_path, monkeypatch):
+        # an integrate run in another context reports no blocks to the
+        # trace writer; run then writes the record it returns
+        monkeypatch.setattr(cli, "integrate", lambda sc: contextvars.Context().run(integrate, sc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.01", "--out", str(out)]) == 0
+        _, data = cli.read_trace_csv(out / "trace.csv")
+        rec = integrate(replace(sim.preset("fig3-stab"), step_size=0.01))
+        assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
+
     @pytest.mark.parametrize("blocked", ["trace.csv", "scenario.resolved", "rates.svg"])
     def test_unwritable_artifact_exits_2_naming_it(self, tmp_path, capsys, blocked):
         out = tmp_path / "out"
@@ -699,20 +805,51 @@ class TestRunCommand:
         assert err == f"error: cannot write {out / 'trace.csv'}: formatting helper exited with status 1\n"
 
     def test_divergence_returns_nonzero(self, tmp_path, capsys):
-        sc = Scenario(
-            name="boom",
-            controller="pid",
-            duration=2.0,
-            step_size=0.01,
-            platform=ConstantPlatform(),
-            ref_q=ReferenceSpec(kind="step", amplitude=1.0, t_on=0.0),
-            pid=replace(sim.preset("fig4-step-pid").pid, kd_q=1e160, kp_q=1e160),
-        )
+        sc = boom(duration=2.0, step_size=0.01, t_on=0.0)
         cfg = tmp_path / "boom.ini"
         cfg.write_text(cli.scenario_to_ini(sc))
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "boomout")])
         assert code != 0
         assert "diverged" in capsys.readouterr().err
+        assert_trace_is_partial_record(tmp_path / "boomout", sc)
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_divergence_after_the_helper_forked_writes_the_rows_before_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 5,001 rows, blowing up near row 3,000: the stream has forked
+        # its helper and is aborted, then the rows up to the blow-up are
+        # written on their own
+        sc = boom(duration=5.0, step_size=0.001, t_on=3.0)
+        cfg = tmp_path / "boom.ini"
+        cfg.write_text(cli.scenario_to_ini(sc))
+        calls = count_forks(monkeypatch)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "boomout")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: simulation diverged: non-finite state at t=3")
+        assert len(calls) == 1
+        assert_trace_is_partial_record(tmp_path / "boomout", sc)
+
+
+def boom(t_on, **fields):
+    """A PID scenario that diverges once its step reference comes on."""
+    return Scenario(
+        name="boom",
+        controller="pid",
+        platform=ConstantPlatform(),
+        ref_q=ReferenceSpec(kind="step", amplitude=1.0, t_on=t_on),
+        pid=replace(sim.preset("fig4-step-pid").pid, kd_q=1e160, kp_q=1e160),
+        **fields,
+    )
+
+
+def assert_trace_is_partial_record(outdir, sc):
+    with pytest.raises(sim.SimulationDiverged) as info:
+        integrate(sc)
+    header, data = cli.read_trace_csv(outdir / "trace.csv")
+    assert header == sim.COLUMNS
+    assert np.array_equal(data.view(np.uint64), info.value.record.data.view(np.uint64))
+    assert not (outdir / "scenario.resolved").exists()
 
 
 class TestVerifyCommand:

@@ -31,6 +31,7 @@ from gimbalsim.sim import (
     fit_decay_slope,
     integrate,
     integrated_abs_error,
+    observe_blocks,
     peak_abs_error,
     preset,
     preset_description,
@@ -427,6 +428,52 @@ class TestIntegrate:
             )
         with pytest.raises(SimulationDiverged, match="non-finite"):
             integrate(sc)
+
+    @pytest.mark.filterwarnings("ignore:step_size")
+    @pytest.mark.parametrize(
+        "blow_up, cause",
+        [
+            # the 1e8-gain scenario above: a stage's trig overflows in the first block
+            (dict(gains=ControlGains(1e8, 1e8)), ValueError),
+            # a loop that grows by about 1.03 per step blows up in the second block
+            (dict(gains=ControlGains(2030.0, 2030.0)), ValueError),
+            # a finite step whose RK4 sum overflows: the post-step check
+            (dict(controller="open-loop", platform=ConstantPlatform(1.0, 1.0),
+                  initial_state=GimbalState(0.0, 1e307, 0.0, 1e300)), type(None)),
+        ],
+        ids=["stage-trig", "later-block", "post-step"],
+    )
+    def test_divergence_keeps_the_rows_before_the_blow_up(self, blow_up, cause):
+        sc = Scenario(
+            **{"name": "blowup", "controller": "stabilize", "duration": 5.0, "step_size": 1e-3,
+               "initial_state": GimbalState(0.0, 0.1, 0.0, 0.1), **blow_up}
+        )
+        with pytest.raises(SimulationDiverged) as info:
+            integrate(sc)
+        exc = info.value
+        assert type(exc.__cause__) is cause
+        assert exc.record.scenario == sc
+        k = exc.record.n_rows - 1
+        assert exc.t == pytest.approx((k + (cause is type(None))) * sc.step_size)
+        cut = integrate(replace(sc, duration=k * sc.step_size)).data
+        assert cut.shape == exc.record.data.shape
+        assert np.array_equal(cut.view(np.uint64), exc.record.data.view(np.uint64))
+
+    def test_block_observer_sees_each_stored_block(self):
+        sc = replace(preset("fig4-step-noise"), duration=1.0, name="obs")
+        calls = []
+
+        def observe(data, rows):
+            calls.append((data, rows, data[:rows].copy()))
+
+        with observe_blocks(observe):
+            rec = integrate(sc)
+        integrate(sc)  # outside the block: not observed
+        n = rec.n_rows
+        assert [rows for _, rows, _ in calls] == [*range(_BLOCK, n, _BLOCK), n]
+        for data, rows, stored in calls:
+            assert data is rec.data
+            assert np.array_equal(stored.view(np.uint64), rec.data[:rows].view(np.uint64))
 
     def test_stabilize_ignores_references(self):
         base = replace(preset("fig3-stab"), duration=1.0, name="st0")
