@@ -55,6 +55,7 @@ from .control import (
 )
 from .kinematics import BodyRates, los_rates, yaw_rates
 from .plant import (
+    INERTIA_ENTRIES,
     GimbalState,
     InertiaModel,
     NoiseSpec,
@@ -99,15 +100,16 @@ def _fmt(x: float) -> str:
 
 
 # Rows formatted per ``%`` operation, and the chunk of rows the trace
-# writer's two processes claim at a time. Larger blocks save little time
-# but hold more strings at once: writing a 60 s trace raises peak RSS by
-# about 19 MB with 16384-row blocks, by about 1 MB with 1024.
+# writer gives one of its two processes at a time. Larger blocks save
+# little time but hold more strings at once: writing a 60 s trace raises
+# peak RSS by about 19 MB with 16384-row blocks, by about 1 MB with 1024.
 CSV_BLOCK_ROWS = 1024
-# Rows from which the trace writer forks a formatting helper; more than
-# one block, so that both processes get rows. With the second core
-# free, the fork (about 5 ms) breaks even near 1,500 rows on a 2-vCPU
-# VM and wins in 18-24 of 25 alternating writes at 2,048 rows, in 20-25
-# of 25 from 4,096 rows on.
+# Rows from which the trace writer forks a formatting helper. In 25
+# alternating forked and in-process writes per size on a 2-vCPU VM,
+# finished and streamed, the fork won 23-25 from 3,072 rows on with the
+# second core free (time ratio 0.61-0.84) but lost 21 at 2,048 rows
+# finished, where the helper gets both chunks; pinned to one CPU it
+# lost at every size up to 8,192 rows (ratio 1.08-1.28).
 CSV_FORK_MIN_ROWS = 4 * CSV_BLOCK_ROWS
 
 
@@ -183,14 +185,21 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
         raise OSError(errno.EIO, f"{what} exited with status {code}", filename)
 
 
+def _chunk(data: np.ndarray, i: int) -> np.ndarray:
+    return data[i * CSV_BLOCK_ROWS : (i + 1) * CSV_BLOCK_ROWS]
+
+
 class _TraceWriter:
     """The state of one trace CSV write; see :func:`_trace_writer`.
 
-    With a helper, the rows and three counters live in one shared
-    anonymous mapping: the next chunk from the front, the end of the
-    unclaimed chunks and the rows stored. Either process reads or
-    moves a counter only while it holds the one byte of the token pipe.
+    With a helper, this process alone decides who formats which chunk.
+    It gives the helper chunks from the front, one byte on the ``give``
+    pipe per chunk whose rows are stored in the shared mapping, and
+    never leaves more than two given chunks unwritten; the helper sends
+    one byte back on the ``done`` pipe per chunk it has written.
     """
+
+    CHUNK, END = b"\1", b"\0"  # the pipe bytes
 
     def __init__(self, f, path: str, stack: contextlib.ExitStack):
         self.f, self.path, self.stack = f, path, stack
@@ -203,29 +212,23 @@ class _TraceWriter:
         if self.data is None:
             self.data = data
             if len(data) >= CSV_FORK_MIN_ROWS:
-                self._fork(rows)
-        elif self.shared is not None and rows > self.stored:
-            self.shared[self.stored : rows] = data[self.stored : rows]
-            with self._token():
-                self.counters[2] = rows
-            self.notify.write(b"\0")  # returns None if the pipe is full
-        self.stored = rows
+                self._fork()
+        start, self.stored = self.stored, rows
+        if self.shared is not None:
+            self.shared[start:rows] = data[start:rows]
+            self._give()
 
-    def _fork(self, rows: int) -> None:
+    def _fork(self) -> None:
         data = self.data
-        mapping = mmap.mmap(-1, 8 * (3 + data.size))
-        self.counters = memoryview(mapping)[:24].cast("q")
-        self.counters[1] = -(-len(data) // CSV_BLOCK_ROWS)
-        self.counters[2] = rows
-        self.shared = np.frombuffer(mapping, offset=24).reshape(data.shape)
-        self.shared[:rows] = data[:rows]
-        # One byte per block of rows stored. This process keeps the read
-        # end open, so a notification to a helper that failed gets no
-        # EPIPE, and a full pipe does not block it.
-        self.wake, self.notify = self._pipe()
-        os.set_blocking(self.notify.fileno(), False)
-        self.take, self.give = self._pipe()  # holds the token while no one does
-        self.give.write(b"\0")
+        self.shared = np.frombuffer(mmap.mmap(-1, data.nbytes)).reshape(data.shape)
+        self.given = self.written = 0  # chunks given to the helper, and written by it
+        self.back_end = -(-len(data) // CSV_BLOCK_ROWS)  # chunks not taken from the back
+        # This process keeps the read end of ``give`` open, so a byte to
+        # a helper that failed gets no EPIPE; at most three bytes are
+        # ever unread on either pipe, so no write blocks.
+        self.take, self.give = self._pipe()
+        self.done, self.tell = self._pipe()
+        os.set_blocking(self.done.fileno(), False)
         if not self.stack.enter_context(_helper(self._front, "formatting helper", self.path)):
             self.shared = None
 
@@ -234,52 +237,39 @@ class _TraceWriter:
         return (self.stack.enter_context(open(r, "rb", buffering=0)),
                 self.stack.enter_context(open(w, "wb", buffering=0)))
 
-    @contextlib.contextmanager
-    def _token(self):
-        self.take.read(1)
-        try:
-            yield
-        finally:
-            self.give.write(b"\0")
-
-    def _claim(self, front: bool) -> int | None:
-        """The next unclaimed chunk from the front or the back, or None
-        once the two ends have met."""
-        with self._token():
-            lo, hi = self.counters[0], self.counters[1]
-            if lo >= hi:
-                return None
-            if front:
-                self.counters[0] = lo + 1
-                return lo
-            self.counters[1] = hi - 1
-            return hi - 1
+    def _give(self) -> None:
+        """Give the helper the next chunks from the front whose rows are
+        stored, while fewer than two given chunks are unwritten."""
+        self.written += len(self.done.read(3) or b"")  # None: nothing written since
+        ready = self.stored // CSV_BLOCK_ROWS if self.stored < len(self.shared) else self.back_end
+        while self.given < min(ready, self.written + 2):
+            self.give.write(self.CHUNK)
+            self.given += 1
 
     def _front(self) -> None:
-        """The helper's part: write the chunks it claims from the front
-        to the file once their rows are stored."""
-        self.notify.close()  # so that a writer that died reads as EOF
-        while (i := self._claim(front=True)) is not None:
-            end = min((i + 1) * CSV_BLOCK_ROWS, len(self.shared))
-            while True:
-                with self._token():
-                    if self.counters[2] >= end:
-                        break
-                if not self.wake.read(4096):
-                    raise EOFError("the trace writer stopped before its rows were stored")
-            self.f.writelines(_csv_blocks(self.shared[i * CSV_BLOCK_ROWS : end]))
+        """The helper's part: write each chunk it is given to the file."""
+        self.give.close()  # so that a writer that died reads as EOF
+        for i, byte in enumerate(iter(functools.partial(self.take.read, 1), self.END)):
+            if byte != self.CHUNK:
+                raise EOFError("the trace writer stopped before its rows were stored")
+            self.f.writelines(_csv_blocks(_chunk(self.shared, i)))
+            self.tell.write(self.CHUNK)
         self.f.flush()
 
     def back(self) -> list[bytes]:
         """This process's part once the record is stored, in file order:
-        with a helper, the chunks it claims from the back; without one,
-        every row, written here."""
+        with a helper, the chunks it formats from the back while it gives
+        the helper the next ones from the front; without one, every row,
+        written here."""
         if self.shared is None:
             self.f.writelines(_csv_blocks(self.data))
             return []
         chunks = []
-        while (i := self._claim(front=False)) is not None:
-            chunks += _csv_blocks(self.data[i * CSV_BLOCK_ROWS : (i + 1) * CSV_BLOCK_ROWS])
+        while self.given < self.back_end:
+            self.back_end -= 1
+            chunks += _csv_blocks(_chunk(self.data, self.back_end))
+            self._give()
+        self.give.write(self.END)
         return chunks[::-1]
 
 
@@ -293,10 +283,11 @@ def _trace_writer(path: Path | str):
     A record of at least ``CSV_FORK_MIN_ROWS`` rows is formatted on two
     cores. Its first observation forks a helper (see :func:`_helper`),
     and each one copies the new rows to memory shared with the helper
-    and wakes it with one pipe byte. The helper writes chunks from the
-    front as their rows arrive; when the block ends this process
-    formats chunks from the back until the two meet, reaps the helper
-    and appends its own. Otherwise this process formats every row when
+    and gives it the chunks from the front whose rows are stored, which
+    it writes as it gets them. When the block ends this process formats
+    chunks from the back, giving the helper the next front chunk in
+    between, until the two meet; then it reaps the helper and appends
+    its own chunks. Otherwise this process formats every row when
     the block ends. The bytes do not depend on who formats what. Any
     exception, an interrupt too, kills and reaps the helper and removes
     the partial file; a failed helper raises OSError (EIO) naming
@@ -359,13 +350,6 @@ def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
 # types, so the keys written, parsed and accepted have one source.
 _SCENARIO_KEYS = ("name", "controller", "duration", "step_size")
 _PLATFORMS = {cls.kind: cls for cls in (SinusoidalPlatform, ConstantPlatform, TablePlatform)}
-# [inertia] key -> (InertiaModel matrix, row, column); each key sets the
-# entry and its mirror image.
-_INERTIA = {
-    f"{body}_{axes}": (matrix, "xyz".index(axes[0]), "xyz".index(axes[1]))
-    for body, matrix in (("pitch", "pitch_gimbal"), ("yaw", "yaw_gimbal"))
-    for axes in ("xx", "yy", "zz", "xy", "xz", "yz")
-}
 # section -> (Scenario field, record type whose fields are the keys)
 _RECORDS = {
     "initial": ("initial_state", GimbalState),
@@ -400,7 +384,7 @@ def scenario_to_ini(sc: Scenario) -> str:
     cp["scenario"] = _ini_items(sc, _SCENARIO_KEYS)
     cp["platform"] = {"kind": plat.kind, **_ini_items(plat, _hints(type(plat)))}
     cp["inertia"] = {
-        key: _fmt(getattr(sc.model, matrix)[i, j]) for key, (matrix, i, j) in _INERTIA.items()
+        key: _fmt(getattr(sc.model, m)[i, j]) for key, (m, i, j) in INERTIA_ENTRIES.items()
     }
     for section, (attr, cls) in _RECORDS.items():
         if getattr(sc, attr) is not None:
@@ -481,10 +465,10 @@ def scenario_from_ini(text: str, source: str = "<string>") -> Scenario:
         values.pop("kind", None)
         changes["platform"] = _ini_build("platform", cls, **values)
     if cp.has_section("inertia"):
-        values = _ini_record(cp, "inertia", dict.fromkeys(_INERTIA, float))
+        values = _ini_record(cp, "inertia", dict.fromkeys(INERTIA_ENTRIES, float))
         matrices = {m: getattr(base.model, m).copy() for m in ("pitch_gimbal", "yaw_gimbal")}
         for key, v in values.items():
-            matrix, i, j = _INERTIA[key]
+            matrix, i, j = INERTIA_ENTRIES[key]
             if not math.isfinite(v):
                 raise ValueError(f"[inertia] {key} must be finite, got {v!r}")
             if i == j and v <= 0.0:

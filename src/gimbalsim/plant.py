@@ -30,6 +30,7 @@ __all__ = [
     "GimbalState",
     "TorqueCommand",
     "InertiaModel",
+    "INERTIA_ENTRIES",
     "NoiseSpec",
     "default_model",
     "pitch_accel_drift",
@@ -66,6 +67,15 @@ class TorqueCommand(NamedTuple):
 
 
 _OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
+# Each independent entry of InertiaModel's two matrices by name, as
+# (matrix, row, column): ``pitch_xy`` is entry (0, 1) of ``pitch_gimbal``
+# and its mirror image. A symmetric-design violation names its entries
+# so, and the CLI's ``[inertia]`` config keys are these names.
+INERTIA_ENTRIES = {
+    f"{body}_{axes}": (f"{body}_gimbal", "xyz".index(axes[0]), "xyz".index(axes[1]))
+    for body in ("pitch", "yaw")
+    for axes in ("xx", "yy", "zz", "xy", "xz", "yz")
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +94,7 @@ class InertiaModel:
     1e-12 kg m^2: all products of inertia vanish on both gimbals, the
     pitch gimbal has equal x and z moments, and the outer y moment
     equals the sum of the inner and outer x moments. A violation raises
-    ValueError naming it.
+    ValueError naming it and its entries (see ``INERTIA_ENTRIES``).
     """
 
     pitch_gimbal: np.ndarray
@@ -112,16 +122,19 @@ class InertiaModel:
         tol = 1e-12
         violations = []
         for (i, j), label in zip(_OFF_DIAGONAL, ("xy", "xz", "yz")):
-            if abs(a[i][j]) > tol:
-                violations.append(f"pitch product of inertia {label} = {a[i][j]:g} != 0")
-            if abs(k[i][j]) > tol:
-                violations.append(f"yaw product of inertia {label} = {k[i][j]:g} != 0")
+            for body, e in (("pitch", a), ("yaw", k)):
+                if abs(e[i][j]) > tol:
+                    violations.append(
+                        f"{body} product of inertia {label} = {e[i][j]:g} != 0 ({body}_{label})"
+                    )
         if abs(a[0][0] - a[2][2]) > tol:
-            violations.append(f"pitch x and z moments differ: {a[0][0]:g} != {a[2][2]:g}")
+            violations.append(
+                f"pitch x and z moments differ: {a[0][0]:g} != {a[2][2]:g} (pitch_xx, pitch_zz)"
+            )
         if abs(k[0][0] + a[0][0] - k[1][1]) > tol:
             violations.append(
                 "yaw y moment must equal yaw x + pitch x moments: "
-                f"{k[1][1]:g} != {k[0][0]:g} + {a[0][0]:g}"
+                f"{k[1][1]:g} != {k[0][0]:g} + {a[0][0]:g} (yaw_yy, yaw_xx, pitch_xx)"
             )
         if violations:
             raise ValueError(

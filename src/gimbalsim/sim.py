@@ -310,7 +310,7 @@ class Scenario:
         if n < 1 or abs(n * self.step_size - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError(
                 f"duration {self.duration:g} must be a whole number of steps "
-                f"of {self.step_size:g}"
+                f"of step_size {self.step_size:g}"
             )
         try:
             state = GimbalState._make(self.initial_state)

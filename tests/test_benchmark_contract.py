@@ -5,9 +5,13 @@ replays ``plant._rhs``, ``kinematics.los_rates``, the torque map and the
 control laws on recorded states; ``perfbench/workloads.py`` counts the
 integrated steps through a wrapper on ``cli.integrate``. A rename or a
 signature change in the package then fails here rather than in a traced
-benchmark run.
+benchmark run. The ``verify all`` text is pinned twice, in
+``perfbench/expected.json`` and in ``test_golden.VERIFY_ALL``; a change
+that re-records one copy and not the other fails here too.
 """
 
+import hashlib
+import json
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -17,8 +21,10 @@ import pytest
 
 from gimbalsim import cli, sim
 from gimbalsim.control import ControlGains
+from test_golden import VERIFY_ALL
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +34,11 @@ def tracing():
     mod.__file__ = str(TRACING)
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), mod.__dict__)
     return mod
+
+
+def test_both_pinned_verify_all_texts_agree():
+    text = json.loads((PERFBENCH / "expected.json").read_text())["check"]["verify_all"]
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL
 
 
 def test_every_traced_boundary_is_a_cli_attribute(tracing):

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -135,27 +136,49 @@ class TestTraceCsv:
         cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
         assert len(calls) == forks
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["finished", "streamed"])
     @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
-    def test_parent_claims_chunks_from_the_back(self, tmp_path, monkeypatch, n_rows):
-        # the helper takes its first chunk from the front and then stalls,
-        # so this process claims every other chunk, from the back down
-        parent, starts = os.getpid(), []  # the helper's calls append in its own memory only
+    def test_stalled_helper_is_given_two_chunks(self, tmp_path, monkeypatch, n_rows, streamed):
+        # the helper stalls in its first chunk until this process starts
+        # on chunk 2, so it is given chunks 0 and 1 only, and this process
+        # formats every other chunk, from the back down; fed 256 rows at
+        # a time, the observer never waits for the helper
+        parent, mine, theirs = os.getpid(), [], tmp_path / "helper-chunks"
+        release_r, release_w = os.pipe()
         real_blocks = cli._csv_blocks
 
         def blocks(rows):
-            if os.getpid() != parent:
-                time.sleep(0.2)
-            starts.append((int(rows[0, 0]), len(rows)))
+            chunk = (int(rows[0, 0]), len(rows))
+            if os.getpid() == parent:
+                mine.append(chunk)
+                if chunk[0] == 2 * B:
+                    os.write(release_w, b"\0")
+            else:  # the helper's calls, logged to a file
+                if chunk[0] == 0:
+                    select.select([release_r], [], [], 10)
+                with open(theirs, "a") as log:
+                    log.write(f"{chunk}\n")
             return real_blocks(rows)
 
         monkeypatch.setattr(cli, "_csv_blocks", blocks)
         rec = codec_record(n_rows)
         rec.data[:, 0] = np.arange(n_rows)  # each row's index in its first cell
-        cli.write_trace_csv(rec, tmp_path / "trace.csv")
+        path, began = tmp_path / "trace.csv", time.monotonic()
+        try:
+            with cli._trace_writer(path) as observe:
+                for rows in range(256, n_rows, 256) if streamed else ():
+                    observe(rec.data, rows)
+                    assert observe.__self__.given <= rows // B  # only chunks stored in full
+                observe(rec.data, n_rows)
+        finally:
+            os.close(release_r)
+            os.close(release_w)
+        assert time.monotonic() - began < 5
         chunks = [(a, min(B, n_rows - a)) for a in range(0, n_rows, B)]
-        assert starts == chunks[:0:-1]
+        assert theirs.read_text().splitlines() == [str(c) for c in chunks[:2]]
+        assert mine == chunks[:1:-1]
         reference_write(rec.data, tmp_path / "reference.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
@@ -447,11 +470,11 @@ def mutated_presets(draw):
     else:
         lines[i] = f"{key} = {'-' + value if how == 'negative' else how}\n"
     # an [inertia] value that is not finite, or a moment that is not
-    # positive, is refused naming its key
-    named = section == "inertia" and (
+    # positive, must be refused
+    refused = section == "inertia" and (
         how in ("nan", "inf", "-inf") or (how == "negative" and key[-1] == key[-2])
     )
-    return "".join(lines), section, key if named else None
+    return "".join(lines), section, key, refused
 
 
 class TestScenarioConfig:
@@ -506,15 +529,17 @@ class TestScenarioConfig:
     @settings(max_examples=100)
     @given(mutated_presets())
     def test_single_key_mutation_loads_or_names_its_section(self, mutated):
-        text, section, key = mutated
+        # a rejected [inertia] mutation names its key too
+        text, section, key, refused = mutated
         try:
             cli.scenario_from_ini(text)
         except (ValueError, configparser.Error) as e:
             # configparser's own errors name a section as "section 'name'"
             assert f"[{section}]" in str(e) or f"section {section!r}" in str(e), str(e)
-            assert key is None or f"[{section}] {key} " in str(e), str(e)
+            assert section != "inertia" or re.search(rf"\b{key}\b", str(e)), str(e)
+            assert not refused or f"[{section}] {key} " in str(e), str(e)
         else:
-            assert key is None, f"{key} mutated, yet the config loaded"
+            assert not refused, f"{key} mutated, yet the config loaded"
 
     def test_values_are_literal(self):
         sc = Scenario(name="50% a&b", controller="open-loop")
@@ -638,8 +663,11 @@ class TestRunCommand:
             ),
             ("[initial]\nx1 = nan\n", "[initial] initial state x1 must be finite"),
             ("[platform]\nkind = abc\n", "[platform] unknown platform kind 'abc'"),
-            ("[inertia]\npitch_xy = 0.001\n", "pitch product of inertia xy"),
-            ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments"),
+            ("[inertia]\npitch_xy = 0.001\n", "pitch product of inertia xy = 0.001 != 0 (pitch_xy)"),
+            ("[inertia]\nyaw_yy = 0.005\n", "yaw y moment must equal yaw x + pitch x moments: "
+             "0.005 != 0.003 + 0.003 (yaw_yy, yaw_xx, pitch_xx)"),
+            ("[inertia]\npitch_zz = 0.004\n", "pitch x and z moments differ: 0.003 != 0.004 "
+             "(pitch_xx, pitch_zz)"),
             # a constructor's own check names the section
             ("[reference_r]\nkind = step\namplitude = nan\n", "[reference_r] reference amplitude"),
             ("[inertia]\npitch_yy = nan\n", "[inertia] pitch_yy must be finite, got nan"),
@@ -660,9 +688,12 @@ class TestRunCommand:
         [
             ("controller = abc\n", "[scenario] unknown controller 'abc'; valid: "),
             ("duration = -1\n", "[scenario] duration must be positive"),
-            ("step_size = 0.0007\n", "[scenario] duration 60 must be a whole number of steps of 0.0007"),
+            ("step_size = 0.0007\n", "[scenario] duration 60 must be a whole number of steps of "
+             "step_size 0.0007"),
+            ("step_size = 1e308\n", "[scenario] duration 60 must be a whole number of steps of "
+             "step_size 1e+308"),
         ],
-        ids=["controller", "duration", "step_size"],
+        ids=["controller", "duration", "step_size", "huge-step_size"],
     )
     def test_bad_scenario_value_exits_2_naming_section(self, tmp_path, capsys, values, error):
         cfg = tmp_path / "bad.ini"

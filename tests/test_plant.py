@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gimbalsim.kinematics import BODY_AT_REST, BodyRates
 from gimbalsim.plant import (
+    INERTIA_ENTRIES,
     GimbalState,
     InertiaModel,
     NoiseSpec,
@@ -110,6 +111,12 @@ class TestInertiaModel:
             "pitch x and z moments differ",
             "yaw y moment must equal yaw x + pitch x moments",
         ]
+        # each ends with the config names of the entries it shows
+        names = [v.rsplit(" (", 1)[1].rstrip(")").split(", ") for v in violations]
+        assert names == [
+            ["yaw_xz"], ["pitch_yz"], ["pitch_xx", "pitch_zz"], ["yaw_yy", "yaw_xx", "pitch_xx"]
+        ]
+        assert {n for group in names for n in group} <= INERTIA_ENTRIES.keys()
 
     def test_design_tolerance_is_1e_12(self):
         a = np.diag([0.003, 0.008, 0.003]).astype(float)
