@@ -36,6 +36,7 @@ import threading
 from dataclasses import replace
 from html import escape
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence, get_origin, get_type_hints
 
 import numpy as np
@@ -99,33 +100,228 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-# Rows formatted per ``%`` operation, and the chunk of rows the trace
-# writer gives one of its two processes at a time. Larger blocks save
-# little time but hold more strings at once: writing a 60 s trace raises
-# peak RSS by about 19 MB with 16384-row blocks, by about 1 MB with 1024.
+# The chunk of rows the trace writer gives one of its two processes at
+# a time.
 CSV_BLOCK_ROWS = 1024
+# Rows per :func:`_csv_rows` call. Its numpy temporaries take about
+# 5.8 kB per row, and in a process whose malloc thresholds are still at
+# glibc's defaults heap blocks that large go back to the system after
+# each call: at 1,024 rows every call faulted in about 1,250 pages and
+# took twice as long as in a warm process; at 256 rows it faults none
+# after the first, and formats as fast.
+_CSV_TEXT_ROWS = 256
 # Rows from which the trace writer forks a formatting helper. In 25
-# alternating forked and in-process writes per size on a 2-vCPU VM,
-# finished and streamed, the fork won 23-25 from 3,072 rows on with the
-# second core free (time ratio 0.61-0.84) but lost 21 at 2,048 rows
-# finished, where the helper gets both chunks; pinned to one CPU it
-# lost at every size up to 8,192 rows (ratio 1.08-1.28).
+# alternating forked and in-process writes of fig5-sin prefixes per
+# size on a 2-vCPU VM, finished and streamed, in two rounds with the
+# second core free, the fork won none at 2,048 rows (time ratio
+# 1.20-1.74) and 6-11 at 3,072 (1.04-1.17), but 20-23 at 4,096
+# (0.72-0.85) and 11-25 at each size from 5,120 to 16,384 (0.57-1.00).
+# Pinned to one CPU it lost at every size up to 16,384 rows (0-8 wins,
+# ratio 1.04-1.63).
 CSV_FORK_MIN_ROWS = 4 * CSV_BLOCK_ROWS
 
 
 def _csv_blocks(data: np.ndarray):
-    """Yield the CSV rows of ``data`` as ASCII bytes, one block of
-    ``CSV_BLOCK_ROWS`` rows at a time.
+    """Yield the CSV rows of ``data`` as ASCII bytes, ``_CSV_TEXT_ROWS``
+    rows at a time (see :func:`_csv_rows`)."""
+    for start in range(0, len(data), _CSV_TEXT_ROWS):
+        yield _csv_rows(data[start : start + _CSV_TEXT_ROWS])
 
-    ``"%.17g" % x`` gives the same bytes as ``format(x, ".17g")`` for
-    every float64, so a block is one ``%`` operation.
+
+# The exact float64 -> "%.17g" formatter below follows Grisu (Loitsch,
+# "Printing floating-point numbers quickly and accurately with
+# integers", PLDI 2010): integer arithmetic with a truncated power of
+# ten decides almost every value, and a value it cannot decide is
+# detected and formatted by ``"%.17g" % x``.
+_U = np.uint64
+_LOW32 = _U(0xFFFFFFFF)
+_ASCII_ZEROS = _U(0x3030303030303030)  # "00000000"
+# decimal exponents floor(log10|x|) of finite nonzero float64 values,
+# with one to spare on each side for the estimate
+_E_LO, _E_HI = -325, 309
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """The exact formatter's tables, built on first use (a few ms), not
+    at import. Entry ``E - _E_LO`` serves decimal exponent E:
+
+    - ``sig``, ``shift``: 10**(16 - E) ~ sig * 2**shift, with sig in
+      [2**63, 2**64) truncated; ``exact`` where no bit was cut
+      (0 <= 16 - E <= 27, as 5**27 < 2**64);
+    - ``point``: the '.' follows this many digits (18: none of them);
+      ``kept``: digits kept even if they are trailing zeros;
+    - ``words``: (11, exponents) uint64 layout words, see :func:`_csv_rows`.
+
+    ``digits4`` holds the 4 ASCII digits of 0..9999 as little-endian
+    uint32, and column k of ``keep_mask``, (3, 19) uint64, keeps the
+    first k of 24 bytes.
     """
-    row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
-    full_block = row * CSV_BLOCK_ROWS
-    for start in range(0, len(data), CSV_BLOCK_ROWS):
-        block = data[start : start + CSV_BLOCK_ROWS]
-        template = full_block if len(block) == CSV_BLOCK_ROWS else row * len(block)
-        yield (template % tuple(block.ravel().tolist())).encode("ascii")
+    exps = np.arange(_E_LO, _E_HI + 1)
+    sig, shift = [], []
+    for k in (16 - exps).tolist():
+        if k >= 0:
+            s = (10**k).bit_length() - 64
+            sig.append(10**k >> s if s > 0 else 10**k << -s)
+        else:
+            s = -63 - (10**-k).bit_length()
+            sig.append((1 << -s) // 10**-k)
+        shift.append(s)
+    digits4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    fixed = (exps >= -4) & (exps < 17)  # the range "%.17g" writes without exponent
+    point = np.where(fixed, np.where(exps >= 0, exps + 1, 18), 1)
+    k = np.arange(19)
+    keep_mask = ((np.arange(24) < k[:, None]) * 255).astype(np.uint8).view("<u8")
+    dot = np.zeros((19, 24), np.uint8)
+    dot[k[:18], k[:18]] = ord(".")
+    prefix, suffix = np.zeros((2, len(exps), 8), np.uint8)
+    for e in range(-4, 0):
+        text = b"0." + b"0" * (-e - 1)
+        prefix[e - _E_LO, 1 : 1 + len(text)] = list(text)
+    # "e+XX" or "e-XXX": 'e', the sign, then two or three digits
+    a = abs(exps)
+    three = a >= 100
+    suffix[:, 2:7] = np.stack(
+        [
+            np.full(len(exps), ord("e")),
+            np.where(exps < 0, ord("-"), ord("+")),
+            np.where(three, a // 100, a // 10 % 10) + ord("0"),
+            np.where(three, a // 10 % 10, a % 10) + ord("0"),
+            np.where(three, a % 10 + ord("0"), 0),
+        ],
+        axis=1,
+    )
+    suffix[fixed] = 0
+    words = np.concatenate(
+        [
+            prefix.view("<u8"),
+            keep_mask[point],
+            ~keep_mask[np.minimum(point + 1, 18)],
+            dot.view("<u8")[point],
+            suffix.view("<u8"),
+        ],
+        axis=1,
+    )
+    return SimpleNamespace(
+        sig=np.array(sig, np.uint64),
+        shift=np.array(shift),
+        exact=(exps <= 16) & (exps >= -11),
+        digits4=digits4.copy().view("<u4").ravel(),
+        point=point,
+        kept=np.where(fixed & (exps >= 0), exps + 1, 0),
+        words=words.T.copy(),
+        keep_mask=keep_mask.T.copy(),
+    )
+
+
+def _g17_digits(x: np.ndarray):
+    """The 17 significant digits of each float64 in ``x``, rounded half
+    to even, as ``(digits, e, ok)``: ``|x|`` rounds to ``digits *
+    10**(E - 16)``, with ``digits`` in [10**16, 10**17), zero for zero,
+    and ``e = E - _E_LO``. ``ok`` is False where the result is not
+    decided: NaN, infinities, and values whose rounding falls within
+    the error of a truncated power of ten or whose exponent estimate is
+    off by one.
+
+    |x| = m * 2**(b - 64) with m in [2**63, 2**64), and 10**(16 - E) ~
+    sig * 2**shift, so |x| * 10**(16 - E) ~ m * sig * 2**(b + shift - 64):
+    the high word of the 128-bit product m * sig, shifted right by
+    ``r = -(b + shift)`` bits (3 to 14), holds the digits, and its low
+    ``r`` bits and the low word hold the fraction to round. A truncated
+    ``sig`` makes the product low by less than one unit of the high word.
+    """
+    t = _g17_tables()
+    ax = np.abs(x)
+    finite = (ax > 0) & (ax < np.inf)
+    ax[~finite] = 1.0  # any normal number, so that frexp and log10 stay quiet
+    f, b = np.frexp(ax)
+    m = (f * 2.0**64).astype(np.uint64)
+    e = np.floor(np.log10(ax)).astype(np.intp) - _E_LO
+    sig = t.sig.take(e)
+    r = (-(t.shift.take(e) + b)).astype(np.uint64)
+    # the 128-bit product m * sig from four 32 x 32-bit products
+    m0, m1, s0, s1 = m & _LOW32, m >> _U(32), sig & _LOW32, sig >> _U(32)
+    cross1, cross2 = m0 * s1, m1 * s0
+    mid = ((m0 * s0) >> _U(32)) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    high = m1 * s1 + (cross1 >> _U(32)) + (cross2 >> _U(32)) + (mid >> _U(32))
+    low = m * sig  # mod 2**64
+    digits = high >> r
+    rest = high - (digits << r)
+    half = _U(1) << (r - _U(1))
+    exact = t.exact.take(e)
+    # In units of the high word, the fraction to round is rest + low /
+    # 2**64 for an exact sig; a truncated one adds more than 0 and less
+    # than m / 2**64 < 1. So rest > half rounds up, and so does rest ==
+    # half unless an exact sig leaves a tie (low == 0): then the even
+    # digits win. rest < half - 1 rounds down, and so does rest == half
+    # - 1 where low + m does not pass 2**64; where it does, the
+    # rounding is not decided.
+    up = (rest > half) | (rest == half) & (~exact | (low != 0) | (digits & _U(1) == 1))
+    ok = finite & (digits >= _U(10**16))
+    ok &= exact | (rest != half - _U(1)) | (low <= ~m)
+    digits += up
+    ok &= digits < _U(10**17)
+    zero = x == 0
+    ok |= zero
+    digits[zero] = 0
+    e[zero] = -_E_LO
+    return digits, e, ok
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 block as ASCII bytes, each value as
+    ``"%.17g" % x`` writes it; the values :func:`_g17_digits` does not
+    decide are written so.
+
+    Each value is laid out in a 32-byte record, four uint64 words, with
+    NUL bytes between its parts; the text is the records without the
+    NULs. Word 0 holds the sign (byte 0) and, for exponents -4 to -1,
+    the prefix "0.", "0.0", ... (bytes 1-5). Words 1-3 hold the 17
+    digits with the '.' after the first ``point`` of them (bytes 0-17),
+    trailing zeros cleared past the first ``kept``, then an exponent
+    suffix such as "e-07" (bytes 18-22) and the separator (byte 23).
+    The rows of ``words``, per exponent: 0 word 0; 1-3 the mask of the
+    digits before the point; 4-6 that of the digits after it, one byte
+    on; 7-9 the point; 10 the suffix. The layout assumes a little-endian
+    machine, where byte i of a word is its bits 8i to 8i + 7.
+    """
+    t = _g17_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    digits, e, ok = _g17_digits(x)
+    # digits = lead * 10**16 + a * 10**8 + b; a and b as 8 ASCII bytes
+    ab = digits // _U(10**8)
+    lead = ab // _U(10**8)
+    halves = np.stack([ab - lead * _U(10**8), digits - ab * _U(10**8)], axis=1)
+    high4 = halves * _U(3518437209) >> _U(45)  # // 10**4, exact below 2**32
+    groups = np.stack([high4, halves - high4 * _U(10**4)], axis=2)
+    a, b = t.digits4.take(groups).view("<u8").reshape(-1, 2).T
+    # XOR "0" leaves each digit's value in its byte, so the float
+    # exponent of a word tells how many of its bytes, up to the last
+    # nonzero digit, count
+    used_a = (np.frexp((a ^ _ASCII_ZEROS).astype(np.float64))[1] + 7) >> 3
+    used_b = (np.frexp((b ^ _ASCII_ZEROS).astype(np.float64))[1] + 7) >> 3
+    keep = np.maximum(np.where(used_b > 0, 9 + used_b, 1 + used_a), t.kept.take(e))
+    point = t.point.take(e)
+    mask = t.keep_mask.take(keep + (keep > point), axis=1)
+    w = t.words.take(e, axis=1)
+    d0 = (lead + _U(ord("0"))) | (a << _U(8))
+    d1 = (a >> _U(56)) | (b << _U(8))
+    d2 = b >> _U(56)
+    rec = np.empty((len(x), 4), np.uint64)
+    rec[:, 0] = w[0] | np.signbit(x) * _U(ord("-"))
+    rec[:, 1] = ((d0 & w[1]) | (d0 << _U(8) & w[4]) | w[7]) & mask[0]
+    rec[:, 2] = ((d1 & w[2]) | ((d1 << _U(8) | d0 >> _U(56)) & w[5]) | w[8]) & mask[1]
+    rec[:, 3] = ((d2 & w[3]) | ((d2 << _U(8) | d1 >> _U(56)) & w[6]) | w[9]) & mask[2] | w[10]
+    sep = rec.reshape(rows, cols, 4)[..., 3]
+    sep |= _U(ord(",") << 56)
+    sep[:, -1] ^= _U((ord(",") ^ ord("\n")) << 56)
+    text = rec.view(np.uint8)
+    odd = np.flatnonzero(~ok)
+    if odd.size:
+        fallback = b"".join([(b"%.17g" % v).ljust(31, b"\0") for v in x[odd].tolist()])
+        text[odd, :31] = np.frombuffer(fallback, np.uint8).reshape(-1, 31)
+    return text.tobytes().translate(None, b"\0")
 
 
 def _usable_cpus() -> int:
@@ -148,11 +344,11 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
 
     Native threads that Python does not know of, such as numpy's BLAS
     pool, do not stop the fork: ``work`` must call no BLAS routine (the
-    CSV formatter calls ``tolist``, ``%`` and ``encode``, the roundtrip
-    suite scalar arithmetic), and glibc's malloc resets its locks in
-    the child of a ``fork``. A forked helper reads its inputs from the
-    copied address space; a spawned one would import numpy again and
-    get them pickled.
+    CSV formatter calls ufuncs, ``take``, ``stack`` and
+    ``bytes.translate``, the roundtrip suite scalar arithmetic), and
+    glibc's malloc resets its locks in the child of a ``fork``. A forked
+    helper reads its inputs from the copied address space; a spawned one
+    would import numpy again and get them pickled.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2:
@@ -267,10 +463,10 @@ class _TraceWriter:
         chunks = []
         while self.given < self.back_end:
             self.back_end -= 1
-            chunks += _csv_blocks(_chunk(self.data, self.back_end))
+            chunks[:0] = _csv_blocks(_chunk(self.data, self.back_end))
             self._give()
         self.give.write(self.END)
-        return chunks[::-1]
+        return chunks
 
 
 @contextlib.contextmanager
@@ -323,7 +519,8 @@ def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a trace written by :func:`write_trace_csv`; exact inverse.
 
     Returns the header and a ``(rows, len(header))`` array. A ragged
-    row or a non-numeric cell raises ValueError.
+    row or a non-numeric cell raises ValueError; so does a ``#``, which
+    a trace never holds (no comment lines).
     """
     with open(path) as f:
         line = f.readline()
@@ -336,7 +533,7 @@ def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
         if not line:  # header only; np.loadtxt warns on empty input
             return header, np.empty((0, len(header)))
         f.seek(body)
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {data.shape[1]} cells, header has {len(header)}")
     return header, data
@@ -543,10 +740,11 @@ def write_svg_chart(
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
-    def px(x: float) -> float:
+    # plot coordinates of a value or, elementwise, of an array
+    def px(x):
         return ml + (x - x0) / (x1 - x0) * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return mt + (y1 - y) / (y1 - y0) * ph
 
     out = [
@@ -583,9 +781,8 @@ def write_svg_chart(
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         stride = max(1, len(x) // 2000)
-        pts = " ".join(
-            f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[::stride], y[::stride])
-        )
+        xy = np.stack([px(x[::stride]), py(y[::stride])], axis=1)
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="7 5"' if label in dashed else ""
         out.append(

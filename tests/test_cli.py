@@ -259,6 +259,89 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             cli.read_trace_csv(path)
 
+    # numpy's loadtxt would skip both as comments and read two rows
+    @pytest.mark.parametrize(
+        "body", ["1,2,3\n# a comment line\n4,5,6\n", "1,2,3\n4,5,6#junk\n"],
+        ids=["comment-line", "comment-after-row"],
+    )
+    def test_comment_raises_value_error_naming_its_row(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(ValueError, match=r"at row \d"):
+            cli.read_trace_csv(path)
+
+
+def g17_reference(values):
+    """``format(v, ".17g")`` for each value of a 2-D array, as CSV rows."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in values).encode()
+
+
+def g17_edge_values():
+    """Values where a fast %.17g formatter can go wrong: signed zeros,
+    NaN and infinities, the subnormal/normal boundary, the powers of ten
+    and their neighbours (three-digit exponents among them), both sides
+    of the switches between fixed and scientific notation, ties (k *
+    2**j with a small odd k is exactly halfway between two 17-digit
+    decimals for many j) and short decimals, whose digits end in zeros
+    to strip."""
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+              2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-310, 309):
+        p = float(f"1e{k}")
+        values += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    for edge in (1e-5, 1e-4, 1e16, 1e17):
+        below = above = edge
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above, -below]
+    values += [math.ldexp(k, j) for k in range(1, 32, 2) for j in range(-1074, 1000)]
+    values += [(k + 0.5) * 10.0**-j for k in range(1, 100) for j in range(0, 20)]
+    return np.array(values + [0.0] * (-len(values) % 16)).reshape(-1, 16)
+
+
+def g17_blocks(values):
+    return b"".join(cli._csv_blocks(values))
+
+
+class TestExactFormatter:
+    """The trace's CSV formatter must give the bytes of ``format(x, ".17g")``."""
+
+    @seed(19)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=96),
+        cols=st.integers(1, 16),
+    )
+    def test_matches_format_on_float64_bit_patterns(self, bits, cols):
+        values = np.array(bits + [0] * (-len(bits) % cols), np.uint64).view(np.float64)
+        values = values.reshape(-1, cols)
+        assert g17_blocks(values) == g17_reference(values)
+
+    def test_matches_format_on_edge_values(self):
+        values = g17_edge_values()
+        assert g17_blocks(values) == g17_reference(values)
+
+    def test_exponent_estimate_one_too_low_is_caught(self, monkeypatch):
+        # a log10 biased low puts every power of ten, and each value just
+        # below one whose 17 digits round up to it, one decade too low,
+        # where the digits come out as 10**17
+        real = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: real(a) - 1e-9)
+        values = g17_edge_values()
+        assert g17_blocks(values) == g17_reference(values)
+
+    def test_fallback_alone_gives_the_same_bytes(self, monkeypatch):
+        # every value undecided: each one takes "%.17g" % x
+        real = cli._g17_digits
+        monkeypatch.setattr(cli, "_g17_digits", lambda x: (*real(x)[:2], np.zeros(x.shape, bool)))
+        values = np.concatenate([g17_edge_values()[::50], codec_record(B).data])
+        assert g17_blocks(values) == g17_reference(values)
+
+    def test_fast_path_decides_nearly_every_trace_value(self, rec_fig3):
+        # the fallback is for values it cannot decide, not a second path
+        _, _, ok = cli._g17_digits(rec_fig3.data.ravel())
+        assert ok.mean() > 0.999
+
 
 def write_trace(tmp_path, capsys):
     """One user of the forked helper: a trace long enough for it, which
