@@ -25,6 +25,7 @@ import contextlib
 import errno
 import functools
 import io
+import itertools
 import math
 import mmap
 import os
@@ -100,8 +101,7 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-# The chunk of rows the trace writer gives one of its two processes at
-# a time.
+# The chunk of rows the trace writer gives its helper at a time.
 CSV_BLOCK_ROWS = 1024
 # Rows per :func:`_csv_rows` call. Its numpy temporaries take about
 # 5.8 kB per row, and in a process whose malloc thresholds are still at
@@ -110,14 +110,14 @@ CSV_BLOCK_ROWS = 1024
 # took twice as long as in a warm process; at 256 rows it faults none
 # after the first, and formats as fast.
 _CSV_TEXT_ROWS = 256
-# Rows from which the trace writer forks a formatting helper. In 25
-# alternating forked and in-process writes of fig5-sin prefixes per
-# size on a 2-vCPU VM, finished and streamed, in two rounds with the
-# second core free, the fork won none at 2,048 rows (time ratio
-# 1.20-1.74) and 6-11 at 3,072 (1.04-1.17), but 20-23 at 4,096
-# (0.72-0.85) and 11-25 at each size from 5,120 to 16,384 (0.57-1.00).
-# Pinned to one CPU it lost at every size up to 16,384 rows (0-8 wins,
-# ratio 1.04-1.63).
+# Rows from which a streamed trace write forks its formatting helper.
+# In 25 alternating forked and in-process writes per size of fig5-sin
+# prefixes, each integrated with the writer observing its blocks as in
+# ``run``, on a 2-vCPU VM, in two rounds with the second core free, the
+# fork won 5-8 at 2,048 rows (median time ratio 1.03-1.05) and 14-15
+# at 3,072 (0.96, quartiles 0.90-1.16), but 21 at 4,096 (0.89-0.91)
+# and 18-23 at each size from 5,120 to 8,192 (0.83-0.87). Pinned to
+# one CPU it lost at every size (0-2 wins, ratio 1.20-1.42).
 CSV_FORK_MIN_ROWS = 4 * CSV_BLOCK_ROWS
 
 
@@ -337,10 +337,10 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
     forking nothing, if this process has to do the work itself: it
     cannot fork, it may run on one CPU only (the helper would only add
     the fork's cost), or it runs other Python threads, one of which a
-    forked child could find holding a lock. Any exception in the block,
-    an interrupt too, kills and reaps the helper first; a non-zero exit
-    (``work`` raised) raises OSError (EIO) naming ``what`` and
-    ``filename``.
+    forked child could find holding a lock. Any exception in the block
+    or in the wait for the helper, an interrupt too, kills and reaps the
+    helper first; a non-zero exit (``work`` raised) raises OSError
+    (EIO) naming ``what`` and ``filename``.
 
     Native threads that Python does not know of, such as numpy's BLAS
     pool, do not stop the fork: ``work`` must call no BLAS routine (the
@@ -371,11 +371,11 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
             os._exit(code)
     try:
         yield True
+        status = os.waitpid(pid, 0)[1]
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
-    status = os.waitpid(pid, 0)[1]
     if status != 0:
         code = os.waitstatus_to_exitcode(status)
         raise OSError(errno.EIO, f"{what} exited with status {code}", filename)
@@ -386,13 +386,10 @@ def _chunk(data: np.ndarray, i: int) -> np.ndarray:
 
 
 class _TraceWriter:
-    """The state of one trace CSV write; see :func:`_trace_writer`.
-
-    With a helper, this process alone decides who formats which chunk.
-    It gives the helper chunks from the front, one byte on the ``give``
-    pipe per chunk whose rows are stored in the shared mapping, and
-    never leaves more than two given chunks unwritten; the helper sends
-    one byte back on the ``done`` pipe per chunk it has written.
+    """The state of one trace CSV write; see :func:`_trace_writer`. The
+    ``give`` pipe carries one byte per chunk, under 10,000 for a record
+    of ``sim.MAX_STEPS`` rows, which a 64 KiB pipe holds: no write to it
+    waits for the helper.
     """
 
     CHUNK, END = b"\1", b"\0"  # the pipe bytes
@@ -407,66 +404,42 @@ class _TraceWriter:
         """The block observer: rows ``0..rows`` of ``data`` are stored."""
         if self.data is None:
             self.data = data
-            if len(data) >= CSV_FORK_MIN_ROWS:
+            if CSV_FORK_MIN_ROWS <= len(data) and rows < len(data):
                 self._fork()
         start, self.stored = self.stored, rows
         if self.shared is not None:
             self.shared[start:rows] = data[start:rows]
-            self._give()
+            ready = rows // CSV_BLOCK_ROWS if rows < len(data) else -(-rows // CSV_BLOCK_ROWS)
+            self.give.write(self.CHUNK * (ready - self.given))
+            self.given = ready
 
     def _fork(self) -> None:
         data = self.data
         self.shared = np.frombuffer(mmap.mmap(-1, data.nbytes)).reshape(data.shape)
-        self.given = self.written = 0  # chunks given to the helper, and written by it
-        self.back_end = -(-len(data) // CSV_BLOCK_ROWS)  # chunks not taken from the back
-        # This process keeps the read end of ``give`` open, so a byte to
-        # a helper that failed gets no EPIPE; at most three bytes are
-        # ever unread on either pipe, so no write blocks.
-        self.take, self.give = self._pipe()
-        self.done, self.tell = self._pipe()
-        os.set_blocking(self.done.fileno(), False)
-        if not self.stack.enter_context(_helper(self._front, "formatting helper", self.path)):
+        self.given = 0  # chunks given to the helper
+        r, w = os.pipe()  # this process keeps the read end: a failed helper gives no EPIPE
+        self.take = self.stack.enter_context(open(r, "rb", buffering=0))
+        self.give = self.stack.enter_context(open(w, "wb", buffering=0))
+        if not self.stack.enter_context(_helper(self._write, "formatting helper", self.path)):
             self.shared = None
 
-    def _pipe(self):
-        r, w = os.pipe()
-        return (self.stack.enter_context(open(r, "rb", buffering=0)),
-                self.stack.enter_context(open(w, "wb", buffering=0)))
-
-    def _give(self) -> None:
-        """Give the helper the next chunks from the front whose rows are
-        stored, while fewer than two given chunks are unwritten."""
-        self.written += len(self.done.read(3) or b"")  # None: nothing written since
-        ready = self.stored // CSV_BLOCK_ROWS if self.stored < len(self.shared) else self.back_end
-        while self.given < min(ready, self.written + 2):
-            self.give.write(self.CHUNK)
-            self.given += 1
-
-    def _front(self) -> None:
+    def _write(self) -> None:
         """The helper's part: write each chunk it is given to the file."""
         self.give.close()  # so that a writer that died reads as EOF
         for i, byte in enumerate(iter(functools.partial(self.take.read, 1), self.END)):
             if byte != self.CHUNK:
                 raise EOFError("the trace writer stopped before its rows were stored")
             self.f.writelines(_csv_blocks(_chunk(self.shared, i)))
-            self.tell.write(self.CHUNK)
         self.f.flush()
 
-    def back(self) -> list[bytes]:
-        """This process's part once the record is stored, in file order:
-        with a helper, the chunks it formats from the back while it gives
-        the helper the next ones from the front; without one, every row,
-        written here."""
+    def finish(self) -> None:
+        """When the block ends: give the helper the rest of the record
+        and ``END``, or, without one, write every row here."""
         if self.shared is None:
             self.f.writelines(_csv_blocks(self.data))
-            return []
-        chunks = []
-        while self.given < self.back_end:
-            self.back_end -= 1
-            chunks[:0] = _csv_blocks(_chunk(self.data, self.back_end))
-            self._give()
-        self.give.write(self.END)
-        return chunks
+        else:
+            self.observe(self.data, len(self.data))
+            self.give.write(self.END)
 
 
 @contextlib.contextmanager
@@ -476,18 +449,16 @@ def _trace_writer(path: Path | str):
     that takes them. When the block ends the observed record must be
     stored in full.
 
-    A record of at least ``CSV_FORK_MIN_ROWS`` rows is formatted on two
-    cores. Its first observation forks a helper (see :func:`_helper`),
-    and each one copies the new rows to memory shared with the helper
-    and gives it the chunks from the front whose rows are stored, which
-    it writes as it gets them. When the block ends this process formats
-    chunks from the back, giving the helper the next front chunk in
-    between, until the two meet; then it reaps the helper and appends
-    its own chunks. Otherwise this process formats every row when
-    the block ends. The bytes do not depend on who formats what. Any
-    exception, an interrupt too, kills and reaps the helper and removes
-    the partial file; a failed helper raises OSError (EIO) naming
-    ``path``.
+    A record of at least ``CSV_FORK_MIN_ROWS`` rows whose first
+    observation is partial, one still being integrated, is written by a
+    forked helper (see :func:`_helper`): each observation copies the new
+    rows to memory shared with it and gives it each chunk they complete,
+    the last, partial one once the record is stored; the helper writes
+    the chunks in file order as it gets them. Otherwise, a finished
+    record included, this process writes every row when the block ends.
+    Any exception, an interrupt too, kills and reaps the helper and
+    removes the partial file; a failed helper raises OSError (EIO)
+    naming ``path``.
     """
     with open(path, "wb") as f:
         try:
@@ -496,9 +467,7 @@ def _trace_writer(path: Path | str):
             with contextlib.ExitStack() as stack:
                 writer = _TraceWriter(f, str(path), stack)
                 yield writer.observe
-                chunks = writer.back()
-            f.seek(0, os.SEEK_END)  # after the helper's chunks
-            f.writelines(chunks)
+                writer.finish()
         except BaseException:
             f.close()
             Path(path).unlink(missing_ok=True)
@@ -508,8 +477,8 @@ def _trace_writer(path: Path | str):
 def write_trace_csv(record: SimRecord, path: Path | str) -> None:
     """Write the trace with a header row, 17 significant digits per
     value (lossless for float64), '.' decimal separator, newline
-    terminated: :func:`_trace_writer` fed the finished record. Raises
-    OSError naming ``path`` if the formatting helper fails.
+    terminated: :func:`_trace_writer` fed the finished record, which
+    this process formats, forking no helper.
     """
     with _trace_writer(path) as observe:
         observe(record.data, record.n_rows)
@@ -519,8 +488,9 @@ def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a trace written by :func:`write_trace_csv`; exact inverse.
 
     Returns the header and a ``(rows, len(header))`` array. A ragged
-    row or a non-numeric cell raises ValueError; so does a ``#``, which
-    a trace never holds (no comment lines).
+    row or a non-numeric cell raises ValueError naming ``path`` and the
+    1-based line; so does a ``#``, which a trace never holds (no
+    comment lines).
     """
     with open(path) as f:
         line = f.readline()
@@ -533,10 +503,35 @@ def read_trace_csv(path: Path | str) -> tuple[tuple[str, ...], np.ndarray]:
         if not line:  # header only; np.loadtxt warns on empty input
             return header, np.empty((0, len(header)))
         f.seek(body)
-        data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+        except ValueError as e:
+            raise ValueError(_bad_line(path, len(header)) or f"{path}: {e}") from None
     if data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {data.shape[1]} cells, header has {len(header)}")
+        raise ValueError(_bad_line(path, len(header)))
     return header, data
+
+
+def _bad_line(path: Path | str, width: int) -> str | None:
+    """The message naming ``path`` and the 1-based line of its first row
+    after the header that is not ``width`` numbers as ``np.loadtxt``
+    reads them, or None; empty lines are skipped, and so are blank ones
+    before the first row, as :func:`read_trace_csv` skips them. Called
+    only once a read has failed, so a good read costs nothing more."""
+    with open(path) as f:
+        lines = itertools.dropwhile(lambda nl: nl[0] == 1 or nl[1].isspace(), enumerate(f, 1))
+        for n, line in lines:
+            cells = line.rstrip("\n").split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != width:
+                return f"{path}: line {n}: row has {len(cells)} cells, header has {width}"
+            for i, cell in enumerate(cells, 1):
+                try:
+                    float(cell.replace("_", "x"))  # float() reads "1_0", np.loadtxt not
+                except ValueError:
+                    return f"{path}: line {n}: cell {i} is not a number: {cell!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------

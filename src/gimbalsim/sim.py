@@ -337,7 +337,7 @@ class Scenario:
                 warnings.warn(
                     f"step_size {self.step_size:g} is coarse for max gain {gmax:g}; "
                     "closed-loop time constant is poorly resolved",
-                    stacklevel=2,
+                    stacklevel=3,  # the line that built the scenario, past __init__
                 )
 
     @property

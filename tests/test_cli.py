@@ -2,7 +2,6 @@ import configparser
 import contextvars
 import errno
 import hashlib
-import itertools
 import math
 import os
 import re
@@ -84,6 +83,15 @@ def break_in(monkeypatch, name, in_helper):
     monkeypatch.setattr(cli, name, broken)
 
 
+def stream(data, path, first=256):
+    """Write ``data`` as a trace at ``path`` the way ``run`` does: fed
+    to the trace writer ``first`` rows first (a partial observation,
+    which lets it fork its helper), then the rest."""
+    with cli._trace_writer(path) as observe:
+        observe(data, min(first, len(data)))
+        observe(data, len(data))
+
+
 def codec_record(n_rows):
     rng = np.random.default_rng(n_rows)
     shape = (n_rows, len(sim.COLUMNS))
@@ -114,8 +122,8 @@ class TestTraceCsv:
         assert len(lines) == rec.n_rows + 1
         assert "," in lines[1] and "." in lines[1]
 
-    # from F rows on a forked helper formats the rows after the split;
-    # at F + B + 3 its part ends in a partial block
+    # each size written finished, in this process, and streamed, from F
+    # rows on by a forked helper, whose last chunk at F + B + 3 is partial
     @pytest.mark.parametrize(
         "n_rows",
         [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, F - 1, F, F + 1, F + B + 3],
@@ -123,8 +131,10 @@ class TestTraceCsv:
     def test_block_writer_matches_per_value_reference(self, tmp_path, n_rows):
         rec = codec_record(n_rows)
         cli.write_trace_csv(rec, tmp_path / "block.csv")
+        stream(rec.data, tmp_path / "streamed.csv")
         reference_write(rec.data, tmp_path / "reference.csv")
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         header, data = cli.read_trace_csv(tmp_path / "block.csv")
         assert header == sim.COLUMNS
         assert data.shape == rec.data.shape
@@ -132,17 +142,25 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("n_rows, forks", [(F - 1, 0), (F, 1), (F + B + 3, 1)])
     def test_helper_is_forked_from_min_rows_on(self, tmp_path, monkeypatch, n_rows, forks):
+        # a streamed write forks when its first observation is partial;
+        # a finished record is written in this process at any size
         calls = count_forks(monkeypatch)
-        cli.write_trace_csv(codec_record(n_rows), tmp_path / "trace.csv")
+        rec = codec_record(n_rows)
+        stream(rec.data, tmp_path / "streamed.csv")
         assert len(calls) == forks
+        cli.write_trace_csv(rec, tmp_path / "finished.csv")
+        assert len(calls) == forks
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "finished.csv").read_bytes()
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["finished", "streamed"])
     @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
     def test_stalled_helper_is_given_two_chunks(self, tmp_path, monkeypatch, n_rows, streamed):
-        # the helper stalls in its first chunk until this process starts
-        # on chunk 2, so it is given chunks 0 and 1 only, and this process
-        # formats every other chunk, from the back down; fed 256 rows at
-        # a time, the observer never waits for the helper
+        # The helper stalls in chunk 0 until every row is observed. Fed
+        # two chunks and 5 rows, then the rest at once ("finished") or
+        # 256 rows at a time, no observation waits for it, and each
+        # gives it just the chunks stored in full (two, after the first),
+        # the last, partial one with the last row. The helper writes
+        # every chunk, in order; this process formats none.
         parent, mine, theirs = os.getpid(), [], tmp_path / "helper-chunks"
         release_r, release_w = os.pipe()
         real_blocks = cli._csv_blocks
@@ -151,8 +169,6 @@ class TestTraceCsv:
             chunk = (int(rows[0, 0]), len(rows))
             if os.getpid() == parent:
                 mine.append(chunk)
-                if chunk[0] == 2 * B:
-                    os.write(release_w, b"\0")
             else:  # the helper's calls, logged to a file
                 if chunk[0] == 0:
                     select.select([release_r], [], [], 10)
@@ -163,20 +179,22 @@ class TestTraceCsv:
         monkeypatch.setattr(cli, "_csv_blocks", blocks)
         rec = codec_record(n_rows)
         rec.data[:, 0] = np.arange(n_rows)  # each row's index in its first cell
+        stored = [2 * B + 5, *(range(2 * B + 256, n_rows, 256) if streamed else ()), n_rows]
         path, began = tmp_path / "trace.csv", time.monotonic()
         try:
             with cli._trace_writer(path) as observe:
-                for rows in range(256, n_rows, 256) if streamed else ():
+                for rows in stored:
                     observe(rec.data, rows)
-                    assert observe.__self__.given <= rows // B  # only chunks stored in full
-                observe(rec.data, n_rows)
+                    full = rows // B if rows < n_rows else -(-n_rows // B)
+                    assert observe.__self__.given == full
+                assert time.monotonic() - began < 5
+                os.write(release_w, b"\0")
         finally:
             os.close(release_r)
             os.close(release_w)
-        assert time.monotonic() - began < 5
         chunks = [(a, min(B, n_rows - a)) for a in range(0, n_rows, B)]
-        assert theirs.read_text().splitlines() == [str(c) for c in chunks[:2]]
-        assert mine == chunks[:1:-1]
+        assert theirs.read_text().splitlines() == [str(c) for c in chunks]
+        assert mine == []
         reference_write(rec.data, tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -184,10 +202,19 @@ class TestTraceCsv:
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
     )
     def test_failure_on_either_side_leaves_no_child(self, tmp_path, monkeypatch, in_helper, error):
-        break_in(monkeypatch, "_csv_blocks", in_helper)
-        path = tmp_path / "trace.csv"
+        # the helper fails to format its first chunk, or this process
+        # fails between two observations, as a failed integrate would
+        if in_helper:
+            break_in(monkeypatch, "_csv_blocks", in_helper=True)
+        calls = count_forks(monkeypatch)
+        data, path = codec_record(F).data, tmp_path / "trace.csv"
         with pytest.raises(error, match=re.escape(str(path)) if in_helper else None):
-            cli.write_trace_csv(codec_record(F), path)
+            with cli._trace_writer(path) as observe:
+                observe(data, B)
+                if not in_helper:
+                    raise MemoryError("integrate failed")
+                observe(data, F)
+        assert len(calls) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert not path.exists()
@@ -203,13 +230,12 @@ class TestTraceCsv:
     @given(
         data=st.data(),
         cells=st.integers(0, 2**32 - 1),
-        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
-        streamed=st.booleans(),
+        cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
     )
     def test_read_inverts_write_on_finite_arrays(
-        self, tmp_path, monkeypatch, sizes, forks, data, cells, cuts, streamed
+        self, tmp_path, monkeypatch, sizes, forks, data, cells, cuts
     ):
-        # the record finished, or its rows observed as they are stored
+        # the rows observed as they are stored, the first time partly
         calls = count_forks(monkeypatch)
         n_rows = data.draw(st.sampled_from(sizes))
         rng = np.random.default_rng(cells)
@@ -218,12 +244,9 @@ class TestTraceCsv:
         edge = (-0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308)
         values.reshape(-1)[rng.random(values.size) < 0.2] = rng.choice(edge)
         path = tmp_path / "trace.csv"
-        if streamed:
-            with cli._trace_writer(path) as observe:
-                for rows in sorted(int(c * n_rows) for c in cuts) + [n_rows]:
-                    observe(values, rows)
-        else:
-            cli.write_trace_csv(sim.SimRecord(values, Scenario(controller="open-loop")), path)
+        with cli._trace_writer(path) as observe:
+            for rows in sorted(int(c * n_rows) for c in cuts) + [n_rows]:
+                observe(values, rows)
         assert len(calls) == forks
         header, back = cli.read_trace_csv(path)
         assert header == sim.COLUMNS
@@ -248,15 +271,27 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             cli.read_trace_csv(tmp_path / "empty.csv")
 
+    # the line counts from 1 at the header, blank lines included
     @pytest.mark.parametrize(
-        "body",
-        ["1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n", "1,2\n3,4\n", "1,2,3\n4,x,6\n", "1,2,3\n4,,6\n"],
-        ids=["short-row", "long-row", "narrow-table", "non-numeric", "empty-cell"],
+        "body, line",
+        [
+            ("1,2,3\n4,5\n", 3),
+            ("1,2,3\n4,5,6,7\n", 3),
+            ("1,2\n3,4\n", 2),
+            ("1,2,3\n4,x,6\n", 3),
+            ("1,2,3\n4,,6\n", 3),
+            ("\n1,2,3\n\n4,x,6\n", 5),
+            ("1,2,3\n4,1_0,6\n", 3),
+        ],
+        ids=[
+            "short-row", "long-row", "narrow-table", "non-numeric", "empty-cell",
+            "after-blank-lines", "underscore",
+        ],
     )
-    def test_malformed_rows_raise_value_error(self, tmp_path, body):
+    def test_malformed_rows_raise_value_error(self, tmp_path, body, line):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n" + body)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
             cli.read_trace_csv(path)
 
     # numpy's loadtxt would skip both as comments and read two rows
@@ -267,7 +302,7 @@ class TestTraceCsv:
     def test_comment_raises_value_error_naming_its_row(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n" + body)
-        with pytest.raises(ValueError, match=r"at row \d"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "):
             cli.read_trace_csv(path)
 
 
@@ -344,10 +379,10 @@ class TestExactFormatter:
 
 
 def write_trace(tmp_path, capsys):
-    """One user of the forked helper: a trace long enough for it, which
-    must match the per-value writer byte for byte."""
+    """One user of the forked helper: a streamed trace long enough for
+    it, which must match the per-value writer byte for byte."""
     rec = codec_record(F)
-    cli.write_trace_csv(rec, tmp_path / "trace.csv")
+    stream(rec.data, tmp_path / "trace.csv")
     reference_write(rec.data, tmp_path / "reference.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -360,8 +395,8 @@ def verify_all(tmp_path, capsys):
 
 @pytest.mark.usefixtures("two_cpus")
 class TestForkedHelper:
-    """The fork gate and the join shared by ``write_trace_csv`` and
-    ``verify all``."""
+    """The fork gate and the join shared by the streamed trace writer
+    and ``verify all``."""
 
     users = pytest.mark.parametrize("user", [write_trace, verify_all], ids=["trace-csv", "verify-all"])
 
@@ -424,31 +459,36 @@ class TestForkedHelper:
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
     def test_interrupt_while_formatting_kills_and_reaps_trace_helper(self, tmp_path, monkeypatch):
-        # the helper's part would take a minute; only the kill ends it
+        # the helper's part would take a minute; the interrupt comes
+        # while this process waits for it, and only the kill ends it
         parent = os.getpid()
         real_blocks = cli._csv_blocks
 
         def blocks(rows):
             if os.getpid() != parent:
                 time.sleep(60)
-            yield from itertools.islice(real_blocks(rows), 1)
-            raise KeyboardInterrupt
+            return real_blocks(rows)
 
-        reaped = []
+        waits, reaped = [], []
         real_waitpid = os.waitpid
 
         def waitpid(pid, options):
+            waits.append(pid)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
             reaped.append(real_waitpid(pid, options))
             return reaped[-1]
 
         monkeypatch.setattr(cli, "_csv_blocks", blocks)
         monkeypatch.setattr(os, "waitpid", waitpid)
         calls = count_forks(monkeypatch)
+        path = tmp_path / "trace.csv"
         with pytest.raises(KeyboardInterrupt):
-            cli.write_trace_csv(codec_record(F), tmp_path / "trace.csv")
-        assert len(calls) == 1
+            stream(codec_record(F).data, path)
+        assert len(calls) == 1 and len(waits) == 2
         [(_, status)] = reaped
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert not path.exists()
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
     def test_observer_failure_mid_run_leaves_no_child_and_no_trace(self, tmp_path, monkeypatch, error):
@@ -874,7 +914,9 @@ class TestRunCommand:
             "os.fork = lambda: forks.append(1) or fork()\n"
             "data = np.random.default_rng(5).standard_normal((cli.CSV_FORK_MIN_ROWS, 16))\n"
             "np.save(sys.argv[1], data)\n"
-            "cli.write_trace_csv(sim.SimRecord(data, sim.Scenario(controller='open-loop')), sys.argv[2])\n"
+            "with cli._trace_writer(sys.argv[2]) as observe:\n"
+            "    observe(data, 256)\n"
+            "    observe(data, len(data))\n"
             "print(len(forks))\n"
         )
         proc = subprocess.run(

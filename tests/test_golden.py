@@ -12,6 +12,7 @@ updates the digests and says so.
 
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -78,8 +79,8 @@ def _extra_scenarios() -> dict[str, Scenario]:
             platform=ConstantPlatform(p=0.05, q=-0.1, r=0.2),
             noise=NoiseSpec(enabled=True, seed=3),
         ),
-        # 6,001 rows: long enough that write_trace_csv forks its helper
-        # (test_trace_digest lets it see two CPUs)
+        # 6,001 rows: long enough that the streamed trace writer forks
+        # its helper (test_trace_digest lets it see two CPUs)
         "fig5-sin-noise-6s": replace(sim.preset("fig5-sin-noise"), duration=6.0),
         "pid-sinusoid": Scenario(
             name="pid-sinusoid",
@@ -122,10 +123,16 @@ def test_golden_covers_every_preset():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 @pytest.mark.usefixtures("two_cpus")
-def test_trace_digest(name, tmp_path):
-    rec = sim.integrate(_scenario(name))
+def test_trace_digest(name, tmp_path, monkeypatch):
+    # written as ``run`` writes it: formatted while it is integrated, by
+    # a forked helper from CSV_FORK_MIN_ROWS rows on
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
     path = tmp_path / "trace.csv"
-    cli.write_trace_csv(rec, path)
+    with cli._trace_writer(path) as observe, sim.observe_blocks(observe):
+        rec = sim.integrate(_scenario(name))
+        observe(rec.data, rec.n_rows)
+    assert len(forks) == (rec.n_rows >= cli.CSV_FORK_MIN_ROWS)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 

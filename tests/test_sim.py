@@ -322,6 +322,11 @@ class TestScenarioValidation:
         with pytest.warns(UserWarning, match="coarse"):
             Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
 
+    def test_coarse_step_warning_names_the_line_that_built_the_scenario(self):
+        with pytest.warns(UserWarning, match="coarse") as caught:
+            Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
+        assert [w.filename for w in caught] == [__file__]
+
 
 # Platforms for the kernel oracle tests: time-varying, constant, and a
 # table whose breakpoints fall inside the runs and whose end value holds
