@@ -282,9 +282,13 @@ def _csv_rows(block: np.ndarray) -> bytes:
     suffix such as "e-07" (bytes 18-22) and the separator (byte 23).
     The rows of ``words``, per exponent: 0 word 0; 1-3 the mask of the
     digits before the point; 4-6 that of the digits after it, one byte
-    on; 7-9 the point; 10 the suffix. The layout assumes a little-endian
-    machine, where byte i of a word is its bits 8i to 8i + 7.
+    on; 7-9 the point; 10 the suffix. The layout needs a little-endian
+    machine, where byte i of a word is its bits 8i to 8i + 7; on any
+    other, every value and separator is written by ``"%.17g" % x``.
     """
+    if sys.byteorder != "little":
+        rows = block.tolist()
+        return b"".join([b",".join([b"%.17g" % v for v in row]) + b"\n" for row in rows])
     t = _g17_tables()
     rows, cols = block.shape
     x = block.ravel()

@@ -158,7 +158,11 @@ class NoiseSpec:
 
     Zero-mean Gaussian torque with standard deviation ``sigma_y`` /
     ``sigma_z`` [N m] on the pitch / yaw channel, sampled once per
-    integrator macro-step from a generator seeded with ``seed``. Stands
+    integrator macro-step: step k's pair is the k-th pair
+    ``gauss(0.0, sigma_y)``, ``gauss(0.0, sigma_z)`` of
+    ``random.Random(seed)``, bit for bit, though ``sim.integrate``
+    computes a block of pairs at a time from the generator's
+    ``random()`` draws. Stands
     in for residual products-of-inertia design error and other
     mechanical noise. Defaults are implementation choices, not values
     from any reference design.

@@ -5,9 +5,10 @@ size, initial state, platform motion profile, controller selection with
 gains, reference signals, noise and guard settings. ``integrate`` runs
 classical fixed-step RK4 on the six-state augmented plant with the
 control recomputed once per macro-step and held across the four stages
-(zero-order hold); torque noise, when enabled, is drawn once per
-macro-step and held the same way. Identical scenarios (including the
-noise seed) produce bit-identical traces.
+(zero-order hold); torque noise, when enabled, is one
+``random.Random(seed).gauss`` pair per macro-step, held the same way
+and drawn for a block of steps at a time. Identical scenarios
+(including the noise seed) produce bit-identical traces.
 
 ``preset`` returns ready-made scenarios reproducing the bundled
 stabilization and tracking studies. Analysis helpers (decay-slope fit,
@@ -22,6 +23,7 @@ import contextvars
 import math
 import os
 import random
+import struct
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -36,7 +38,6 @@ from .control import (
     PidParams,
     ReferenceSpec,
     ZERO_TRAJECTORY,
-    guard_cos,
 )
 from .kinematics import BodyRates
 from .plant import (
@@ -394,10 +395,15 @@ class SimRecord:
 # Integration
 
 
-# Steps per block of time-only samples: platform rates and references
-# are computed with numpy for this many steps at a time, so memory stays
-# flat however long the run.
+# Steps per block of state-independent inputs: platform rates,
+# references and torque noise are computed with numpy for this many
+# steps at a time, so memory stays flat however long the run.
 _BLOCK = 256
+
+# One row of the record and one step's inputs, as native doubles
+_ROW = struct.Struct(f"{len(COLUMNS)}d")
+_STEP_INPUTS = struct.Struct("27d")
+_TWOPI = 2.0 * math.pi  # random.TWOPI
 
 # The block observer of the current context; see observe_blocks.
 _observer: contextvars.ContextVar[Callable[[np.ndarray, int], None] | None] = (
@@ -425,17 +431,39 @@ def observe_blocks(observer: Callable[[np.ndarray, int], None]):
         _observer.reset(token)
 
 
+def _gauss_pairs(rng: random.Random, m: int, sig_y: float, sig_z: float):
+    """The next ``m`` pairs ``rng.gauss(0.0, sig_y)``, ``rng.gauss(0.0,
+    sig_z)`` would return, bit for bit, as two arrays.
+
+    ``random.Random.gauss`` draws two uniforms ``u0, u1`` per pair and
+    returns ``mu + (cos(u0 * TWOPI) * g) * sigma`` and then ``mu +
+    (sin(u0 * TWOPI) * g) * sigma``, with ``g = sqrt(-2 log(1 - u1))``.
+    ``log``, ``cos`` and ``sin`` come from ``math``, since numpy's differ
+    from it in the last bit; the rest are exact IEEE operations, and
+    ``0.0 +`` turns a ``-0.0`` into ``0.0`` as ``mu +`` does.
+    """
+    u = np.fromiter(iter(rng.random, None), float, 2 * m)  # count= ends the draws
+    u0, u1 = u[0::2] * _TWOPI, u[1::2]
+    g = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u1).tolist()), float, m))
+    cos_u = np.fromiter(map(math.cos, u0.tolist()), float, m)
+    sin_u = np.fromiter(map(math.sin, u0.tolist()), float, m)
+    return 0.0 + (cos_u * g) * sig_y, 0.0 + (sin_u * g) * sig_z
+
+
 def _time_samples(sc: Scenario, los: bool):
     """Yield, for each block of up to ``_BLOCK`` steps of ``sc``, its
     first step ``k0`` and an iterator over the block's steps. Each step
-    ``k`` gives ``k``, ``t = k * h``, the platform rates at ``t``,
-    ``t + h / 2`` and ``t + h`` (6 values each) and the reference terms
-    ``ff_q, ff_r, ref_q, ref_r, pos_q, pos_r`` as Python floats, sampled
-    with numpy once per block.
+    ``k`` gives ``k`` and a tuple of 27 floats: ``t = k * h``, the
+    platform rates at ``t``, ``t + h / 2`` and ``t + h`` (6 values
+    each), the reference terms ``ff_q, ff_r, ref_q, ref_r, pos_q,
+    pos_r`` and the torque noise ``ny, nz``, computed with numpy once per
+    block and unpacked per step from the block's ``(m, 27)`` array.
 
     The laws differ only in their reference terms: the rate laws add
     d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
-    c_pos (value - angle); ``pos`` is the reference value.
+    c_pos (value - angle); ``pos`` is the reference value. The noise
+    is :func:`_gauss_pairs` of one generator seeded with the scenario's
+    seed, or zeros when the noise is off.
     """
     n, h = sc.n_steps, sc.step_size
     half = 0.5 * h
@@ -443,6 +471,8 @@ def _time_samples(sc: Scenario, los: bool):
     if sc.controller == "stabilize":  # stabilization is rate tracking of zero
         spec_q = spec_r = ZERO_TRAJECTORY
     sample = sc.platform.sample
+    noise = sc.noise
+    rng = random.Random(noise.seed) if noise.enabled else None
     for k0 in range(0, n + 1, _BLOCK):
         ts = np.arange(k0, min(k0 + _BLOCK, n + 1), dtype=float) * h
         vq, d1q, d2q = spec_q.sample(ts)
@@ -452,20 +482,24 @@ def _time_samples(sc: Scenario, los: bool):
         # reuses the previous step's t + h as its t: k * h + h differs
         # from (k + 1) * h for about a third of all k.
         body = np.reshape(sample(np.concatenate((ts, ts + half, ts + h))), (6, 3, len(ts)))
-        cols = (ts, *body[:, 0], *body[:, 1], *body[:, 2], *refs, vq, vr)
-        yield k0, zip(range(k0, n + 1), *(c.tolist() for c in cols))
+        if rng is None:
+            ny = nz = np.zeros(len(ts))
+        else:
+            ny, nz = _gauss_pairs(rng, len(ts), noise.sigma_y, noise.sigma_z)
+        cols = (ts, *body[:, 0], *body[:, 1], *body[:, 2], *refs, vq, vr, ny, nz)
+        yield k0, zip(range(k0, n + 1), _STEP_INPUTS.iter_unpack(np.stack(cols, axis=1)))
 
 
 def _diverged(
-    t: float, state: GimbalState, record: SimRecord, k0: int, rows: list
+    t: float, state: GimbalState, record: SimRecord, k0: int, buf: bytearray, m: int
 ) -> SimulationDiverged:
     """The exception for a blow-up at ``t``, whose ``record`` keeps the
-    rows integrated before it: the block's pending ``rows``, from step
-    ``k0`` on, are stored in ``record.data`` first."""
-    data, ncol = record.data, len(COLUMNS)
-    data.reshape(-1)[ncol * k0:ncol * k0 + len(rows)] = rows
+    rows integrated before it: the block's ``m`` pending rows in
+    ``buf``, from step ``k0`` on, are stored in ``record.data`` first."""
+    data = record.data
+    data[k0:k0 + m] = np.frombuffer(buf, count=m * data.shape[1]).reshape(m, -1)
     exc = SimulationDiverged(t, state)
-    exc.record = SimRecord(data[: k0 + len(rows) // ncol], record.scenario)
+    exc.record = SimRecord(data[: k0 + m], record.scenario)
     return exc
 
 
@@ -475,17 +509,18 @@ def integrate(scenario: Scenario) -> SimRecord:
     Classical RK4 at fixed step on the augmented six-state plant. The
     controller output and any noise draw are computed from the state at
     each macro-step and held constant across the stage evaluations.
-    The platform rates and the references depend on time only; they
-    come from ``sample`` in blocks of ``_BLOCK`` steps, at the times
-    ``k * h``, ``t + h / 2`` and ``t + h`` a per-step call would use,
-    so the trace has the same bits as one built from ``rates`` and the
-    references' ``value``/``d1``/``d2``. Each block's rows are collected
-    in one flat list and stored in the record with one slice
-    assignment, after which the observer of :func:`observe_blocks`, if
-    one is set, is called. The scenario's inputs were checked when it
-    was built, so the only error raised here is
-    :class:`SimulationDiverged`, when the state leaves the finite
-    range; its ``record`` holds the rows up to the blow-up.
+    The platform rates, the references and the noise draws do not
+    depend on the state; they come from :func:`_time_samples` in blocks
+    of ``_BLOCK`` steps, at the times ``k * h``, ``t + h / 2`` and
+    ``t + h`` a per-step call would use, so the trace has the same bits
+    as one built from ``rates``, the references' ``value``/``d1``/``d2``
+    and per-step ``random.Random(seed).gauss`` calls. Each step packs
+    its row into the block's byte buffer; the block's rows are stored in
+    the record with one slice assignment, after which the observer of
+    :func:`observe_blocks`, if one is set, is called. The scenario's
+    inputs were checked when it was built, so the only error raised
+    here is :class:`SimulationDiverged`, when the state leaves the
+    finite range; its ``record`` holds the rows up to the blow-up.
     """
     sc = scenario
     model = sc.model
@@ -495,17 +530,14 @@ def integrate(scenario: Scenario) -> SimRecord:
     j_ratio = j_ay / j_k
     gthr = sc.guard.threshold
     rec = np.empty((n + 1, len(COLUMNS)))
-    flat, ncol = rec.reshape(-1), len(COLUMNS)  # flat is a view of rec
     record = SimRecord(rec, sc)
     observe = _observer.get()
+    pack, row_size = _ROW.pack_into, _ROW.size
+    buf = bytearray(row_size * _BLOCK)  # the block's rows, packed
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
 
-    noise_on = sc.noise.enabled
-    gauss = random.Random(sc.noise.seed).gauss
-    sig_y, sig_z = sc.noise.sigma_y, sc.noise.sigma_z
-
-    kind, gains, guard = sc.controller, sc.gains, sc.guard
+    kind, gains = sc.controller, sc.gains
     law = kind in LINEARIZING_CONTROLLERS
     los = kind == "los-track"
     if los:
@@ -522,11 +554,10 @@ def integrate(scenario: Scenario) -> SimRecord:
     half = 0.5 * h
     sixth = h / 6.0
     for k0, steps in _time_samples(sc, los):
-        rows = []  # the block's rows, flattened
-        for (
-            k, t, p, q, r, p_dot, q_dot, r_dot,
+        for k, (
+            t, p, q, r, p_dot, q_dot, r_dot,
             pm, qm, rm, pdm, qdm, rdm, pn, qn, rn, pdn, qdn, rdn,
-            ff_q, ff_r, ref_q, ref_r, pos_q, pos_r,
+            ff_q, ff_r, ref_q, ref_r, pos_q, pos_r, ny, nz,
         ) in steps:
             # One sin/cos of x1 and x3 per step. The lines below are
             # kinematics.los_rates, plant.pitch_accel_drift/yaw_accel_drift
@@ -534,9 +565,10 @@ def integrate(scenario: Scenario) -> SimRecord:
             # trace is bit-identical to composing those functions.
             sx1, cx1 = sin(x1), cos(x1)
             sx3, cx3 = sin(x3), cos(x3)
+            pc, qs = p * cx3, q * sx3
             q_a = -p * sx3 + q * cx3 + x2
-            r_a = p * cx3 * sx1 + q * sx3 * sx1 + r * cx1 + x4 * cx1
-            pq_cx3 = p * cx3 + q * sx3
+            r_a = pc * sx1 + qs * sx1 + r * cx1 + x4 * cx1
+            pq_cx3 = pc + qs
             f_pitch = p_dot * sx3 + x4 * p * cx3 - q_dot * cx3 + x4 * q * sx3
             f_yaw = -r_dot - j_ratio * pq_cx3 * q_a
             if law:
@@ -553,10 +585,17 @@ def integrate(scenario: Scenario) -> SimRecord:
                 if los:
                     v1 += kpq * (pos_q - tq)
                     w2 += kpr * (pos_r - tr)
-                v2 = w2 / guard_cos(cx1, guard)
+                # control.guard_cos: a cosine strictly inside the band
+                # (-0.0 included) divides as +-gthr, by its sign; NaN
+                # passes through
+                if -gthr < cx1 < gthr:
+                    v2 = w2 / (gthr if cx1 > 0.0 else -gthr)
+                    ga = 1.0
+                else:
+                    v2 = w2 / cx1
+                    ga = 0.0
                 u1 = j_ay * (v1 - f_pitch)
                 u2 = j_k * (v2 - f_yaw)
-                ga = 1.0 if abs(cx1) < gthr else 0.0
             elif kind == "pid":
                 # control.pid_baseline with the same operand order
                 e_q, e_r = pos_q - tq, pos_r - tr
@@ -574,12 +613,8 @@ def integrate(scenario: Scenario) -> SimRecord:
                 u1, u2, ga = j_ay * v1, j_k * v2, 0.0
             else:  # open-loop
                 v1 = v2 = u1 = u2 = ga = 0.0
-            if noise_on:
-                ny = gauss(0.0, sig_y)
-                nz = gauss(0.0, sig_z)
-            else:
-                ny = nz = 0.0
-            rows += (t, x1, x2, x3, x4, tq, tr, q_a, r_a, v1, v2, u1, u2, ga, ny, nz)
+            pack(buf, (k - k0) * row_size,
+                 t, x1, x2, x3, x4, tq, tr, q_a, r_a, v1, v2, u1, u2, ga, ny, nz)
             if k == n:
                 break
 
@@ -587,7 +622,7 @@ def integrate(scenario: Scenario) -> SimRecord:
             # with its operand order. The inputs' accelerations u / J are
             # the same for all four stages. Stage 1 reuses the step's
             # trig; stages 2-3 take the platform at t + h/2, stage 4 at
-            # t + h. The shared LOS elevation rate term is computed once
+            # t + h. The shared LOS elevation rate terms are computed once
             # per stage, as q_a is above.
             acc1 = (u1 + ny) / j_ay
             acc2 = (u2 + nz) / j_k
@@ -596,45 +631,52 @@ def integrate(scenario: Scenario) -> SimRecord:
                 y1, b1, y3, b3 = x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4
                 ss3, cc3 = sin(y3), cos(y3)
                 ss1, cc1 = sin(y1), cos(y1)
+                pc, qs = pm * cc3, qm * ss3
                 b5 = -pm * ss3 + qm * cc3 + b1
                 b2 = acc1 + (pdm * ss3 + b3 * pm * cc3 - qdm * cc3 + b3 * qm * ss3)
-                b4 = acc2 + (-rdm - j_ratio * (pm * cc3 + qm * ss3) * b5)
-                b6 = pm * cc3 * ss1 + qm * ss3 * ss1 + rm * cc1 + b3 * cc1
+                b4 = acc2 + (-rdm - j_ratio * (pc + qs) * b5)
+                b6 = pc * ss1 + qs * ss1 + rm * cc1 + b3 * cc1
 
                 y1, c1, y3, c3 = x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4
                 ss3, cc3 = sin(y3), cos(y3)
                 ss1, cc1 = sin(y1), cos(y1)
+                pc, qs = pm * cc3, qm * ss3
                 c5 = -pm * ss3 + qm * cc3 + c1
                 c2 = acc1 + (pdm * ss3 + c3 * pm * cc3 - qdm * cc3 + c3 * qm * ss3)
-                c4 = acc2 + (-rdm - j_ratio * (pm * cc3 + qm * ss3) * c5)
-                c6 = pm * cc3 * ss1 + qm * ss3 * ss1 + rm * cc1 + c3 * cc1
+                c4 = acc2 + (-rdm - j_ratio * (pc + qs) * c5)
+                c6 = pc * ss1 + qs * ss1 + rm * cc1 + c3 * cc1
 
                 y1, d1, y3, d3 = x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4
                 ss3, cc3 = sin(y3), cos(y3)
                 ss1, cc1 = sin(y1), cos(y1)
+                pc, qs = pn * cc3, qn * ss3
                 d5 = -pn * ss3 + qn * cc3 + d1
                 d2 = acc1 + (pdn * ss3 + d3 * pn * cc3 - qdn * cc3 + d3 * qn * ss3)
-                d4 = acc2 + (-rdn - j_ratio * (pn * cc3 + qn * ss3) * d5)
-                d6 = pn * cc3 * ss1 + qn * ss3 * ss1 + rn * cc1 + d3 * cc1
+                d4 = acc2 + (-rdn - j_ratio * (pc + qs) * d5)
+                d6 = pc * ss1 + qs * ss1 + rn * cc1 + d3 * cc1
             except (ValueError, OverflowError) as exc:
                 # trig of an overflowed stage state; same root cause as the
                 # post-step finiteness check
-                raise _diverged(t, GimbalState(x1, x2, x3, x4, tq, tr), record, k0, rows) from exc
+                state = GimbalState(x1, x2, x3, x4, tq, tr)
+                raise _diverged(t, state, record, k0, buf, k + 1 - k0) from exc
             x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
             x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
             x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
             x4 += sixth * (a4 + 2.0 * (b4 + c4) + d4)
             tq += sixth * (a5 + 2.0 * (b5 + c5) + d5)
             tr += sixth * (a6 + 2.0 * (b6 + c6) + d6)
-            if not (
+            # a finite sum needs finite terms; a sum that overflows does not
+            # by itself make the state non-finite
+            if not isfinite(x1 + x2 + x3 + x4 + tq + tr) and not (
                 isfinite(x1) and isfinite(x2) and isfinite(x3)
                 and isfinite(x4) and isfinite(tq) and isfinite(tr)
             ):
-                raise _diverged(t + h, GimbalState(x1, x2, x3, x4, tq, tr), record, k0, rows)
-        flat[ncol * k0:ncol * k0 + len(rows)] = rows
+                state = GimbalState(x1, x2, x3, x4, tq, tr)
+                raise _diverged(t + h, state, record, k0, buf, k + 1 - k0)
+        m = k + 1 - k0
+        rec[k0:k0 + m] = np.frombuffer(buf, count=m * len(COLUMNS)).reshape(m, -1)
         if observe is not None:
-            observe(rec, k0 + len(rows) // ncol)
-        del rows, steps  # free this block's floats before the next is sampled
+            observe(rec, k0 + m)
 
     return record
 

@@ -1,14 +1,18 @@
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gimbalsim.control import (
     ZERO_TRAJECTORY,
     ControlGains,
+    GuardSpec,
     PidState,
+    guard_cos,
     los_tracking_control,
     pid_baseline,
     rate_tracking_control,
@@ -20,6 +24,7 @@ from gimbalsim.sim import (
     _BLOCK,
     COLUMNS,
     CONTROLLERS,
+    LINEARIZING_CONTROLLERS,
     MAX_STEPS,
     ConstantPlatform,
     ReferenceSpec,
@@ -28,6 +33,7 @@ from gimbalsim.sim import (
     SinusoidalPlatform,
     TablePlatform,
     UnknownPresetError,
+    _gauss_pairs,
     fit_decay_slope,
     integrate,
     integrated_abs_error,
@@ -353,6 +359,19 @@ def _oracle_scenario(controller, platform, ref):
     )
 
 
+def _law_row(sc, traj, row):
+    """Row ``row``'s LOS rates, virtual controls and torques of a
+    feedback-linearizing scenario, from the library functions, as hex."""
+    t, x = row[0], GimbalState(*row[1:7])
+    body = sc.platform.rates(t)
+    if sc.controller == "los-track":
+        v = los_tracking_control(t, x, body, sc.gains, traj, traj, x.theta_q, x.theta_r, sc.guard)
+    else:
+        v = rate_tracking_control(t, x, body, sc.gains, traj, traj, sc.guard)
+    u = torques_from_virtual(v, t, x, body, sc.model)
+    return [w.hex() for w in (*los_rates(x, body), *v, *u)]
+
+
 class TestIntegrate:
     def test_zero_dynamics_all_rows_zero(self):
         rec = integrate(open_loop(1.0, 0.01, GimbalState(0.0, 0.0, 0.0, 0.0)))
@@ -442,11 +461,14 @@ class TestIntegrate:
             (dict(gains=ControlGains(1e8, 1e8)), ValueError),
             # a loop that grows by about 1.03 per step blows up in the second block
             (dict(gains=ControlGains(2030.0, 2030.0)), ValueError),
+            # the same with torque noise, drawn a block ahead of the steps
+            (dict(gains=ControlGains(2030.0, 2030.0), noise=NoiseSpec(enabled=True, seed=7)),
+             ValueError),
             # a finite step whose RK4 sum overflows: the post-step check
             (dict(controller="open-loop", platform=ConstantPlatform(1.0, 1.0),
                   initial_state=GimbalState(0.0, 1e307, 0.0, 1e300)), type(None)),
         ],
-        ids=["stage-trig", "later-block", "post-step"],
+        ids=["stage-trig", "later-block", "later-block-noise", "post-step"],
     )
     def test_divergence_keeps_the_rows_before_the_blow_up(self, blow_up, cause):
         sc = Scenario(
@@ -458,6 +480,7 @@ class TestIntegrate:
         exc = info.value
         assert type(exc.__cause__) is cause
         assert exc.record.scenario == sc
+        assert bool(exc.record.col("noise_y").any()) == sc.noise.enabled
         k = exc.record.n_rows - 1
         assert exc.t == pytest.approx((k + (cause is type(None))) * sc.step_size)
         cut = integrate(replace(sc, duration=k * sc.step_size)).data
@@ -504,22 +527,41 @@ class TestIntegrate:
             pid = PidState()
             for row in rec.data.tolist():
                 t, st = row[0], GimbalState(*row[1:7])
-                body = platform.rates(t)
                 if controller == "pid":
                     v, pid = pid_baseline(
                         t, traj.value(t) - st.theta_q, traj.value(t) - st.theta_r, sc.pid, pid
                     )
                     u = (sc.model.j_ay * v.v1, sc.model.j_k * v.v2)
+                    want = [x.hex() for x in (*los_rates(st, platform.rates(t)), *v, *u)]
                 else:
-                    if controller == "los-track":
-                        v = los_tracking_control(
-                            t, st, body, sc.gains, traj, traj, st.theta_q, st.theta_r, sc.guard
-                        )
-                    else:
-                        v = rate_tracking_control(t, st, body, sc.gains, traj, traj, sc.guard)
-                    u = torques_from_virtual(v, t, st, body, sc.model)
-                want = (*los_rates(st, body), *v, *u)
-                assert [x.hex() for x in row[7:13]] == [x.hex() for x in want], (platform, t)
+                    want = _law_row(sc, traj, row)
+                assert [x.hex() for x in row[7:13]] == want, (platform, t)
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["at-threshold", "one-ulp-inside"])
+    @pytest.mark.parametrize("x1", [1.2, 1.9], ids=["cos-positive", "cos-negative"])
+    @pytest.mark.parametrize("controller", LINEARIZING_CONTROLLERS)
+    def test_guard_band_edge_is_guard_cos(self, controller, x1, inside):
+        # cos(x1) at exactly +-threshold lies outside the guard band (its
+        # bounds are strict) and is neither clamped nor flagged; a
+        # threshold one ulp wider clamps and flags it
+        c = math.cos(x1)
+        guard = GuardSpec(math.nextafter(abs(c), 1.0) if inside else abs(c))
+        assert (guard_cos(c, guard) != c) is inside
+        ref = ReferenceSpec(kind="sinusoid", amplitude=0.5, omega=2.0)
+        sc = Scenario(
+            controller=controller,
+            duration=0.01,
+            gains=ControlGains(6.0, 8.0, 9.0, 10.0),
+            initial_state=GimbalState(x1, -0.6, -0.2, 0.1),
+            platform=_ORACLE_PLATFORMS[0],
+            ref_q=ref,
+            ref_r=ref,
+            guard=guard,
+        )
+        row = integrate(sc).data[0].tolist()
+        traj = ZERO_TRAJECTORY if controller == "stabilize" else ref
+        assert [x.hex() for x in row[7:13]] == _law_row(sc, traj, row)
+        assert row[COLUMNS.index("guard_active")] == float(inside)
 
     @pytest.mark.parametrize("platform", _ORACLE_PLATFORMS, ids=["sinusoidal", "constant", "table"])
     @pytest.mark.parametrize("controller", CONTROLLERS)
@@ -570,10 +612,11 @@ class TestIntegrate:
         head = integrate(long).data[:rows]
         assert integrate(short).data.tobytes() == head.tobytes()
 
-    def test_integrate_samples_in_blocks_not_per_step(self):
-        # integrate must read time-only inputs through sample(); a
-        # fallback to per-step rates(), value(), d1() or d2() calls, or
-        # to trajectory(), fails here
+    def test_integrate_samples_in_blocks_not_per_step(self, monkeypatch):
+        # integrate must read time-only inputs through sample() and draw
+        # the noise a block at a time; a fallback to per-step rates(),
+        # value(), d1() or d2() calls, to trajectory(), or to
+        # random.Random.gauss fails here
         class NoScalarPlatform(SinusoidalPlatform):
             def rates(self, t):
                 raise AssertionError("integrate called rates() per step")
@@ -606,7 +649,27 @@ class TestIntegrate:
                 ref_q=NoScalarReference(**sin_ref),
                 ref_r=NoScalarReference(**step_ref),
             )
-            assert integrate(guarded).data.tobytes() == integrate(plain).data.tobytes(), controller
+            want = integrate(plain).data.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(random.Random, "gauss", refuse("gauss"))
+                assert integrate(guarded).data.tobytes() == want, controller
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        sigmas=st.lists(st.sampled_from([0.0, 0.002]) | st.floats(0.0, 1e3), min_size=2, max_size=2),
+        lengths=st.lists(st.sampled_from([1, _BLOCK, _BLOCK + 1]), min_size=1, max_size=3),
+    )
+    def test_block_noise_is_the_per_step_gauss_pairs(self, seed, sigmas, lengths):
+        # consecutive blocks from one generator give, bit for bit, the
+        # pairs gauss(0.0, sigma_y), gauss(0.0, sigma_z) of every step
+        sig_y, sig_z = sigmas
+        rng, ref = random.Random(seed), random.Random(seed)
+        for m in lengths:
+            ny, nz = _gauss_pairs(rng, m, sig_y, sig_z)
+            got = [(a.hex(), b.hex()) for a, b in zip(ny.tolist(), nz.tolist())]
+            want = [(ref.gauss(0.0, sig_y).hex(), ref.gauss(0.0, sig_z).hex()) for _ in range(m)]
+            assert got == want
 
     def test_guard_flag_recorded(self, rec_fig5):
         # the sinusoid scenario passes near gimbal lock once
