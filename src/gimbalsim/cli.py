@@ -282,13 +282,10 @@ def _csv_rows(block: np.ndarray) -> bytes:
     suffix such as "e-07" (bytes 18-22) and the separator (byte 23).
     The rows of ``words``, per exponent: 0 word 0; 1-3 the mask of the
     digits before the point; 4-6 that of the digits after it, one byte
-    on; 7-9 the point; 10 the suffix. The layout needs a little-endian
-    machine, where byte i of a word is its bits 8i to 8i + 7; on any
-    other, every value and separator is written by ``"%.17g" % x``.
+    on; 7-9 the point; 10 the suffix. Every word, in the tables and in
+    the records, is stored little-endian on any host, so byte i of a
+    word is its bits 8i to 8i + 7.
     """
-    if sys.byteorder != "little":
-        rows = block.tolist()
-        return b"".join([b",".join([b"%.17g" % v for v in row]) + b"\n" for row in rows])
     t = _g17_tables()
     rows, cols = block.shape
     x = block.ravel()
@@ -312,7 +309,7 @@ def _csv_rows(block: np.ndarray) -> bytes:
     d0 = (lead + _U(ord("0"))) | (a << _U(8))
     d1 = (a >> _U(56)) | (b << _U(8))
     d2 = b >> _U(56)
-    rec = np.empty((len(x), 4), np.uint64)
+    rec = np.empty((len(x), 4), "<u8")
     rec[:, 0] = w[0] | np.signbit(x) * _U(ord("-"))
     rec[:, 1] = ((d0 & w[1]) | (d0 << _U(8) & w[4]) | w[7]) & mask[0]
     rec[:, 2] = ((d1 & w[2]) | ((d1 << _U(8) | d0 >> _U(56)) & w[5]) | w[8]) & mask[1]

@@ -372,24 +372,6 @@ class TestExactFormatter:
         values = np.concatenate([g17_edge_values()[::50], codec_record(B).data])
         assert g17_blocks(values) == g17_reference(values)
 
-    def test_big_endian_host_writes_every_value_by_percent_format(self, monkeypatch):
-        # the word layout is little-endian: any other byte order takes
-        # "%.17g" % x for values and separators alike, same bytes
-        tiny = 5e-324
-        values = np.array([
-            [math.nan, math.inf, -math.inf, 0.0, -0.0],
-            [tiny, -tiny, 2.2250738585072009e-308, -1e-310, 1.0 / 3.0],
-            [1e-5, 1e16, -1e17, 12345.678, 1.7976931348623157e308],
-        ])
-        fast = cli._csv_rows(values)
-        monkeypatch.setattr(sys, "byteorder", "big")
-
-        def refuse(x):
-            raise AssertionError("the little-endian layout ran")
-
-        monkeypatch.setattr(cli, "_g17_digits", refuse)
-        assert cli._csv_rows(values) == fast == g17_reference(values)
-
     def test_fast_path_decides_nearly_every_trace_value(self, rec_fig3):
         # the fallback is for values it cannot decide, not a second path
         _, _, ok = cli._g17_digits(rec_fig3.data.ravel())
