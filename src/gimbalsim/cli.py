@@ -101,15 +101,13 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-# The chunk of rows the trace writer gives its helper at a time.
-CSV_BLOCK_ROWS = 1024
-# Rows per :func:`_csv_rows` call. Its numpy temporaries take about
-# 5.8 kB per row, and in a process whose malloc thresholds are still at
-# glibc's defaults heap blocks that large go back to the system after
-# each call: at 1,024 rows every call faulted in about 1,250 pages and
-# took twice as long as in a warm process; at 256 rows it faults none
-# after the first, and formats as fast.
-_CSV_TEXT_ROWS = 256
+# Rows per :func:`_csv_rows` call and per chunk the trace writer gives
+# its helper. The formatter's numpy temporaries take about 5.8 kB a row;
+# while glibc's malloc thresholds are at their defaults, heap blocks that
+# large go back to the system after each call: at 1,024 rows every call
+# faulted in about 1,250 pages and took twice as long as in a warm
+# process; at 256 rows it faults none after the first, and formats as fast.
+CSV_BLOCK_ROWS = 256
 # Rows from which a streamed trace write forks its formatting helper.
 # In 25 alternating forked and in-process writes per size of fig5-sin
 # prefixes, each integrated with the writer observing its blocks as in
@@ -118,14 +116,13 @@ _CSV_TEXT_ROWS = 256
 # at 3,072 (0.96, quartiles 0.90-1.16), but 21 at 4,096 (0.89-0.91)
 # and 18-23 at each size from 5,120 to 8,192 (0.83-0.87). Pinned to
 # one CPU it lost at every size (0-2 wins, ratio 1.20-1.42).
-CSV_FORK_MIN_ROWS = 4 * CSV_BLOCK_ROWS
+CSV_FORK_MIN_ROWS = 16 * CSV_BLOCK_ROWS
 
 
-def _csv_blocks(data: np.ndarray):
-    """Yield the CSV rows of ``data`` as ASCII bytes, ``_CSV_TEXT_ROWS``
-    rows at a time (see :func:`_csv_rows`)."""
-    for start in range(0, len(data), _CSV_TEXT_ROWS):
-        yield _csv_rows(data[start : start + _CSV_TEXT_ROWS])
+def _chunks(data: np.ndarray):
+    """Yield the rows of ``data``, ``CSV_BLOCK_ROWS`` at a time."""
+    for start in range(0, len(data), CSV_BLOCK_ROWS):
+        yield data[start : start + CSV_BLOCK_ROWS]
 
 
 # The exact float64 -> "%.17g" formatter below follows Grisu (Loitsch,
@@ -348,8 +345,9 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
     CSV formatter calls ufuncs, ``take``, ``stack`` and
     ``bytes.translate``, the roundtrip suite scalar arithmetic), and
     glibc's malloc resets its locks in the child of a ``fork``. A forked
-    helper reads its inputs from the copied address space; a spawned one
-    would import numpy again and get them pickled.
+    helper reads its inputs from the copied address space, and what is
+    stored after the fork from a shared ``mmap``; a spawned one would
+    import numpy again and get them pickled.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2:
@@ -382,65 +380,48 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
         raise OSError(errno.EIO, f"{what} exited with status {code}", filename)
 
 
-def _chunk(data: np.ndarray, i: int) -> np.ndarray:
-    return data[i * CSV_BLOCK_ROWS : (i + 1) * CSV_BLOCK_ROWS]
-
-
 class _TraceWriter:
     """The state of one trace CSV write; see :func:`_trace_writer`. The
-    ``give`` pipe carries one byte per chunk, under 10,000 for a record
-    of ``sim.MAX_STEPS`` rows, which a 64 KiB pipe holds: no write to it
-    waits for the helper.
-    """
-
-    CHUNK, END = b"\1", b"\0"  # the pipe bytes
+    ``give`` pipe carries one byte per chunk, 39,063 for a record of
+    ``sim.MAX_STEPS`` rows, which a 64 KiB pipe holds: no write to it
+    waits for the helper."""
 
     def __init__(self, f, path: str, stack: contextlib.ExitStack):
         self.f, self.path, self.stack = f, path, stack
         self.data = None  # the observed record array
-        self.stored = 0  # rows of it stored
-        self.shared = None  # its rows in the mapping, while a helper runs
+        self.given = None  # chunks given to the helper; None while none runs
 
     def observe(self, data: np.ndarray, rows: int) -> None:
         """The block observer: rows ``0..rows`` of ``data`` are stored."""
         if self.data is None:
             self.data = data
             if CSV_FORK_MIN_ROWS <= len(data) and rows < len(data):
-                self._fork()
-        start, self.stored = self.stored, rows
-        if self.shared is not None:
-            self.shared[start:rows] = data[start:rows]
+                # this process keeps the read end: a failed helper gives no EPIPE
+                r, w = os.pipe()
+                self.take = self.stack.enter_context(open(r, "rb", buffering=0))
+                self.give = self.stack.enter_context(open(w, "wb", buffering=0))
+                if self.stack.enter_context(_helper(self._write, "formatting helper", self.path)):
+                    self.given = 0
+        if self.given is not None:
             ready = rows // CSV_BLOCK_ROWS if rows < len(data) else -(-rows // CSV_BLOCK_ROWS)
-            self.give.write(self.CHUNK * (ready - self.given))
+            self.give.write(bytes(ready - self.given))
             self.given = ready
 
-    def _fork(self) -> None:
-        data = self.data
-        self.shared = np.frombuffer(mmap.mmap(-1, data.nbytes)).reshape(data.shape)
-        self.given = 0  # chunks given to the helper
-        r, w = os.pipe()  # this process keeps the read end: a failed helper gives no EPIPE
-        self.take = self.stack.enter_context(open(r, "rb", buffering=0))
-        self.give = self.stack.enter_context(open(w, "wb", buffering=0))
-        if not self.stack.enter_context(_helper(self._write, "formatting helper", self.path)):
-            self.shared = None
-
     def _write(self) -> None:
-        """The helper's part: write each chunk it is given to the file."""
+        """The helper's part: write each chunk once it is given."""
         self.give.close()  # so that a writer that died reads as EOF
-        for i, byte in enumerate(iter(functools.partial(self.take.read, 1), self.END)):
-            if byte != self.CHUNK:
+        for chunk in _chunks(self.data):
+            if not self.take.read(1):
                 raise EOFError("the trace writer stopped before its rows were stored")
-            self.f.writelines(_csv_blocks(_chunk(self.shared, i)))
+            self.f.write(_csv_rows(chunk))
         self.f.flush()
 
     def finish(self) -> None:
-        """When the block ends: give the helper the rest of the record
-        and ``END``, or, without one, write every row here."""
-        if self.shared is None:
-            self.f.writelines(_csv_blocks(self.data))
+        """When the block ends: give the helper the rest, or write every row here."""
+        if self.given is None:
+            self.f.writelines(map(_csv_rows, _chunks(self.data)))
         else:
             self.observe(self.data, len(self.data))
-            self.give.write(self.END)
 
 
 @contextlib.contextmanager
@@ -452,14 +433,15 @@ def _trace_writer(path: Path | str):
 
     A record of at least ``CSV_FORK_MIN_ROWS`` rows whose first
     observation is partial, one still being integrated, is written by a
-    forked helper (see :func:`_helper`): each observation copies the new
-    rows to memory shared with it and gives it each chunk they complete,
-    the last, partial one once the record is stored; the helper writes
-    the chunks in file order as it gets them. Otherwise, a finished
-    record included, this process writes every row when the block ends.
-    Any exception, an interrupt too, kills and reaps the helper and
-    removes the partial file; a failed helper raises OSError (EIO)
-    naming ``path``.
+    forked helper (see :func:`_helper`) that formats the record's own
+    array: each observation gives it the chunks its rows complete, the
+    last, partial one once the record is stored, and it writes them in
+    file order. Its later rows must be stored in shared memory, as
+    ``sim.integrate`` stores an observed record; an array stored in full
+    before the fork needs none. Otherwise, a finished record included,
+    this process writes every row when the block ends. Any exception, an
+    interrupt too, kills and reaps the helper and removes the partial
+    file; a failed helper raises OSError (EIO) naming ``path``.
     """
     with open(path, "wb") as f:
         try:
@@ -662,10 +644,6 @@ def scenario_from_ini(text: str, source: str = "<string>") -> Scenario:
         matrices = {m: getattr(base.model, m).copy() for m in ("pitch_gimbal", "yaw_gimbal")}
         for key, v in values.items():
             matrix, i, j = INERTIA_ENTRIES[key]
-            if not math.isfinite(v):
-                raise ValueError(f"[inertia] {key} must be finite, got {v!r}")
-            if i == j and v <= 0.0:
-                raise ValueError(f"[inertia] {key} must be positive, got {v!r}")
             matrices[matrix][i, j] = matrices[matrix][j, i] = v
         changes["model"] = _ini_build("inertia", InertiaModel, **matrices)
     for section, (attr, cls) in _RECORDS.items():
@@ -1073,19 +1051,16 @@ def run_verify_suite(suite: str) -> list[CheckResult]:
         return verify_oracle()
     if suite == "all":
         # The roundtrip suite runs in a forked helper beside decay and
-        # oracle, or here after them; the helper sends its result pickled.
-        r, w = os.pipe()
-        with open(r, "rb") as results, open(w, "wb") as send:
+        # oracle, or here after them; the helper pickles its result into
+        # a shared page.
+        with mmap.mmap(-1, mmap.PAGESIZE) as page:
 
             def roundtrip():  # in the helper
-                send.write(pickle.dumps(verify_roundtrip()))
-                send.flush()
+                page.write(pickle.dumps(verify_roundtrip()))
 
             with _helper(roundtrip, "roundtrip helper") as forked:
-                send.close()  # the helper's copy stays open until it exits
                 rest = [*verify_decay(), *verify_oracle()]
-                pickled = results.read() if forked else None
-        return [verify_roundtrip() if pickled is None else pickle.loads(pickled), *rest]
+            return [pickle.loads(page) if forked else verify_roundtrip(), *rest]
     raise ValueError(f"unknown verify suite {suite!r}")
 
 

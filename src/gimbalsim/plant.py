@@ -89,8 +89,9 @@ class InertiaModel:
     symmetric-design assumptions). Both are float attributes set at
     construction, not constructor arguments.
 
-    Construction checks each matrix (3x3, finite, symmetric within
-    1e-15, positive moments) and then the symmetric design within
+    Construction checks each matrix (3x3, finite, positive moments,
+    symmetric within 1e-15), naming a bad entry by its
+    ``INERTIA_ENTRIES`` key, and then the symmetric design within
     1e-12 kg m^2: all products of inertia vanish on both gimbals, the
     pitch gimbal has equal x and z moments, and the outer y moment
     equals the sum of the inner and outer x moments. A violation raises
@@ -103,22 +104,26 @@ class InertiaModel:
     j_k: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = []
+        entries = {}
         for name in ("pitch_gimbal", "yaw_gimbal"):
             m = np.array(getattr(self, name), dtype=float)
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3, got {m.shape}")
-            e = m.tolist()
-            if not all(math.isfinite(v) for row in e for v in row):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+            entries[name] = m.tolist()
+        for key, (name, i, j) in INERTIA_ENTRIES.items():
+            v = entries[name][i][j]
+            if not math.isfinite(v):
+                raise ValueError(f"{key} must be finite, got {v!r}")
+            if i == j and v <= 0.0:
+                raise ValueError(f"{key} must be positive, got {v!r}")
+        for name, e in entries.items():
+            if not all(math.isfinite(e[j][i]) for i, j in _OFF_DIAGONAL):  # the unnamed lower triangle
                 raise ValueError(f"{name} has non-finite entries")
             if any(abs(e[i][j] - e[j][i]) > 1e-15 for i, j in _OFF_DIAGONAL):
                 raise ValueError(f"{name} must be symmetric")
-            if min(e[0][0], e[1][1], e[2][2]) <= 0.0:
-                raise ValueError(f"{name} needs positive moments of inertia")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-            entries.append(e)
-        a, k = entries
+        a, k = entries.values()
         tol = 1e-12
         violations = []
         for (i, j), label in zip(_OFF_DIAGONAL, ("xy", "xz", "yz")):

@@ -1,4 +1,5 @@
 import configparser
+import contextlib
 import contextvars
 import errno
 import hashlib
@@ -45,6 +46,7 @@ def small_record():
 SPECIAL_CELLS = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1)
 B = cli.CSV_BLOCK_ROWS
 F = cli.CSV_FORK_MIN_ROWS
+P = F + 4 * B + 3  # a forked write whose last chunk has 3 rows
 
 
 def reference_write(data, path):
@@ -123,10 +125,11 @@ class TestTraceCsv:
         assert "," in lines[1] and "." in lines[1]
 
     # each size written finished, in this process, and streamed, from F
-    # rows on by a forked helper, whose last chunk at F + B + 3 is partial
+    # rows on by a forked helper, whose last chunk at P is partial
     @pytest.mark.parametrize(
         "n_rows",
-        [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, F - 1, F, F + 1, F + B + 3],
+        [1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B, 8 * B + 1, 8 * B + 3,
+         F - 1, F, F + 1, P],
     )
     def test_block_writer_matches_per_value_reference(self, tmp_path, n_rows):
         rec = codec_record(n_rows)
@@ -140,7 +143,7 @@ class TestTraceCsv:
         assert data.shape == rec.data.shape
         assert np.array_equal(data.view(np.uint64), rec.data.view(np.uint64))
 
-    @pytest.mark.parametrize("n_rows, forks", [(F - 1, 0), (F, 1), (F + B + 3, 1)])
+    @pytest.mark.parametrize("n_rows, forks", [(F - 1, 0), (F, 1), (P, 1)])
     def test_helper_is_forked_from_min_rows_on(self, tmp_path, monkeypatch, n_rows, forks):
         # a streamed write forks when its first observation is partial;
         # a finished record is written in this process at any size
@@ -153,7 +156,7 @@ class TestTraceCsv:
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "finished.csv").read_bytes()
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["finished", "streamed"])
-    @pytest.mark.parametrize("n_rows", [F, F + 1, F + B + 3])
+    @pytest.mark.parametrize("n_rows", [F, F + 1, P])
     def test_stalled_helper_is_given_two_chunks(self, tmp_path, monkeypatch, n_rows, streamed):
         # The helper stalls in chunk 0 until every row is observed. Fed
         # two chunks and 5 rows, then the rest at once ("finished") or
@@ -163,7 +166,7 @@ class TestTraceCsv:
         # every chunk, in order; this process formats none.
         parent, mine, theirs = os.getpid(), [], tmp_path / "helper-chunks"
         release_r, release_w = os.pipe()
-        real_blocks = cli._csv_blocks
+        real_blocks = cli._csv_rows
 
         def blocks(rows):
             chunk = (int(rows[0, 0]), len(rows))
@@ -176,7 +179,7 @@ class TestTraceCsv:
                     log.write(f"{chunk}\n")
             return real_blocks(rows)
 
-        monkeypatch.setattr(cli, "_csv_blocks", blocks)
+        monkeypatch.setattr(cli, "_csv_rows", blocks)
         rec = codec_record(n_rows)
         rec.data[:, 0] = np.arange(n_rows)  # each row's index in its first cell
         stored = [2 * B + 5, *(range(2 * B + 256, n_rows, 256) if streamed else ()), n_rows]
@@ -198,6 +201,28 @@ class TestTraceCsv:
         reference_write(rec.data, tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("given", [0, 1, 3])
+    def test_helper_whose_writer_died_writes_only_the_chunks_given(self, tmp_path, given):
+        # the helper's part, run here: the pipe ends after ``given``
+        # bytes, before the record's last chunk, as when this process dies
+        data, path = codec_record(5 * B + 3).data, tmp_path / "trace.csv"
+        r, w = os.pipe()
+        with open(path, "wb") as f, contextlib.ExitStack() as stack:
+            writer = cli._TraceWriter(f, str(path), stack)
+            writer.data = data
+            writer.take = stack.enter_context(open(r, "rb", buffering=0))
+            writer.give = stack.enter_context(open(w, "wb", buffering=0))
+            f.write((",".join(sim.COLUMNS) + "\n").encode("ascii"))
+            writer.give.write(bytes(given))
+            with pytest.raises(EOFError):
+                writer._write()
+        reference_write(data[: given * B], tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_pipe_holds_a_byte_for_each_chunk_of_the_longest_record(self):
+        # so that no observation waits for the helper to read
+        assert -(-(sim.MAX_STEPS + 1) // cli.CSV_BLOCK_ROWS) < 65536
+
     @pytest.mark.parametrize(
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]
     )
@@ -205,7 +230,7 @@ class TestTraceCsv:
         # the helper fails to format its first chunk, or this process
         # fails between two observations, as a failed integrate would
         if in_helper:
-            break_in(monkeypatch, "_csv_blocks", in_helper=True)
+            break_in(monkeypatch, "_csv_rows", in_helper=True)
         calls = count_forks(monkeypatch)
         data, path = codec_record(F).data, tmp_path / "trace.csv"
         with pytest.raises(error, match=re.escape(str(path)) if in_helper else None):
@@ -220,7 +245,7 @@ class TestTraceCsv:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "sizes, forks", [([0, 1, B - 1, B + 1, F - 1], 0), ([F, F + 1, F + B + 3], 1)],
+        "sizes, forks", [([0, 1, B - 1, B + 1, F - 1], 0), ([F, F + 1, P], 1)],
         ids=["in-process", "helper"],
     )
     @seed(16)
@@ -335,7 +360,7 @@ def g17_edge_values():
 
 
 def g17_blocks(values):
-    return b"".join(cli._csv_blocks(values))
+    return b"".join(map(cli._csv_rows, cli._chunks(values)))
 
 
 class TestExactFormatter:
@@ -462,7 +487,7 @@ class TestForkedHelper:
         # the helper's part would take a minute; the interrupt comes
         # while this process waits for it, and only the kill ends it
         parent = os.getpid()
-        real_blocks = cli._csv_blocks
+        real_blocks = cli._csv_rows
 
         def blocks(rows):
             if os.getpid() != parent:
@@ -479,7 +504,7 @@ class TestForkedHelper:
             reaped.append(real_waitpid(pid, options))
             return reaped[-1]
 
-        monkeypatch.setattr(cli, "_csv_blocks", blocks)
+        monkeypatch.setattr(cli, "_csv_rows", blocks)
         monkeypatch.setattr(os, "waitpid", waitpid)
         calls = count_forks(monkeypatch)
         path = tmp_path / "trace.csv"
@@ -953,7 +978,7 @@ class TestRunCommand:
     @pytest.mark.usefixtures("two_cpus")
     def test_failed_helper_exits_2_naming_trace(self, tmp_path, capsys, monkeypatch):
         # 6001 rows: long enough for the helper, which fails to format
-        break_in(monkeypatch, "_csv_blocks", in_helper=True)
+        break_in(monkeypatch, "_csv_rows", in_helper=True)
         out = tmp_path / "out"
         code = cli.main(["run", "--preset", "fig3-stab", "--step-size", "0.01", "--out", str(out)])
         assert code == 2

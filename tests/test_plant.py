@@ -139,10 +139,12 @@ class TestInertiaModel:
         "pitch, message",
         [
             (np.eye(2), r"pitch_gimbal must be 3x3, got \(2, 2\)"),
-            (np.diag([0.003, math.inf, 0.003]), "pitch_gimbal has non-finite entries"),
-            (np.diag([0.003, math.nan, 0.003]), "pitch_gimbal has non-finite entries"),
+            (np.diag([0.003, math.inf, 0.003]), "pitch_yy must be finite, got inf"),
+            (np.diag([0.003, math.nan, 0.003]), "pitch_yy must be finite, got nan"),
+            (np.diag([0.003, 0.008, 0.003]) + [[0, 0, 0], [math.nan, 0, 0], [0, 0, 0]],
+             "pitch_gimbal has non-finite entries"),
         ],
-        ids=["shape", "inf", "nan"],
+        ids=["shape", "inf", "nan", "unnamed-nan"],
     )
     def test_rejects_bad_matrix_naming_it(self, pitch, message):
         with pytest.raises(ValueError, match=message):

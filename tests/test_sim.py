@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -502,6 +503,46 @@ class TestIntegrate:
         for data, rows, stored in calls:
             assert data is rec.data
             assert np.array_equal(stored.view(np.uint64), rec.data[:rows].view(np.uint64))
+
+    def test_process_forked_by_observer_sees_later_rows(self):
+        # the child is forked at the first block, waits until integrate
+        # has returned, then sends back the last row of its own view; a
+        # scenario no other test runs, whose rows no freed array holds
+        sc = replace(preset("fig5-sin"), duration=0.75, name="shared")
+        go_r, go_w = os.pipe()
+        back_r, back_w = os.pipe()
+        pids = []
+
+        def observe(data, rows):
+            if pids:
+                return
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(go_w)  # so that a parent that failed reads as EOF
+                    os.read(go_r, 1)
+                    os.write(back_w, data[-1].tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+
+        try:
+            with observe_blocks(observe):
+                rec = integrate(sc)
+            os.write(go_w, b"\0")
+            row = os.read(back_r, rec.data[-1].nbytes)
+        finally:
+            for fd in (go_r, go_w, back_r, back_w):
+                os.close(fd)
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        assert statuses == [0]
+        assert rec.n_rows > _BLOCK and rec.data[-1, 0] == sc.duration
+        assert row == rec.data[-1].tobytes()
+
+    def test_unobserved_record_owns_its_memory(self):
+        assert integrate(replace(preset("fig3-stab"), duration=1.0)).data.flags.owndata
 
     def test_stabilize_ignores_references(self):
         base = replace(preset("fig3-stab"), duration=1.0, name="st0")
