@@ -383,8 +383,9 @@ def _helper(work: Callable[[], None], what: str, filename: str | None = None):
 class _TraceWriter:
     """The state of one trace CSV write; see :func:`_trace_writer`. The
     ``give`` pipe carries one byte per chunk, 39,063 for a record of
-    ``sim.MAX_STEPS`` rows, which a 64 KiB pipe holds: no write to it
-    waits for the helper."""
+    ``sim.MAX_STEPS`` rows, which Linux's default 64 KiB pipe holds: no
+    write waits for the helper. Only the helper holds the read end, so a
+    write to a helper that died fails instead of waiting."""
 
     def __init__(self, f, path: str, stack: contextlib.ExitStack):
         self.f, self.path, self.stack = f, path, stack
@@ -396,15 +397,16 @@ class _TraceWriter:
         if self.data is None:
             self.data = data
             if CSV_FORK_MIN_ROWS <= len(data) and rows < len(data):
-                # this process keeps the read end: a failed helper gives no EPIPE
                 r, w = os.pipe()
                 self.take = self.stack.enter_context(open(r, "rb", buffering=0))
                 self.give = self.stack.enter_context(open(w, "wb", buffering=0))
                 if self.stack.enter_context(_helper(self._write, "formatting helper", self.path)):
+                    self.take.close()
                     self.given = 0
         if self.given is not None:
             ready = rows // CSV_BLOCK_ROWS if rows < len(data) else -(-rows // CSV_BLOCK_ROWS)
-            self.give.write(bytes(ready - self.given))
+            with contextlib.suppress(BrokenPipeError):  # _helper raises the helper's EIO
+                self.give.write(bytes(ready - self.given))
             self.given = ready
 
     def _write(self) -> None:
@@ -418,10 +420,9 @@ class _TraceWriter:
 
     def finish(self) -> None:
         """When the block ends: give the helper the rest, or write every row here."""
+        self.observe(self.data, len(self.data))
         if self.given is None:
             self.f.writelines(map(_csv_rows, _chunks(self.data)))
-        else:
-            self.observe(self.data, len(self.data))
 
 
 @contextlib.contextmanager
@@ -434,14 +435,14 @@ def _trace_writer(path: Path | str):
     A record of at least ``CSV_FORK_MIN_ROWS`` rows whose first
     observation is partial, one still being integrated, is written by a
     forked helper (see :func:`_helper`) that formats the record's own
-    array: each observation gives it the chunks its rows complete, the
-    last, partial one once the record is stored, and it writes them in
-    file order. Its later rows must be stored in shared memory, as
-    ``sim.integrate`` stores an observed record; an array stored in full
-    before the fork needs none. Otherwise, a finished record included,
-    this process writes every row when the block ends. Any exception, an
-    interrupt too, kills and reaps the helper and removes the partial
-    file; a failed helper raises OSError (EIO) naming ``path``.
+    array, so rows stored after the fork must be stored in shared
+    memory, as ``sim.integrate`` stores its record: each observation
+    gives the helper the chunks its rows complete, the last, partial one
+    once the record is stored, and it writes them in file order.
+    Otherwise, a finished record included, this process writes every
+    row when the block ends. Any exception, an interrupt too, kills and
+    reaps the helper and removes the partial file; a failed helper
+    raises OSError (EIO) naming ``path``.
     """
     with open(path, "wb") as f:
         try:

@@ -422,9 +422,9 @@ def observe_blocks(observer: Callable[[np.ndarray, int], None]):
     once per call and calls it between blocks, never inside the step
     loop; an exception the observer raises ends the integration.
 
-    ``data`` is shared memory, so a process the observer forks sees the
-    rows stored after the fork: this is how the CLI's trace writer
-    formats the trace on a second core while it is integrated.
+    ``data`` is an anonymous shared ``mmap``, so a process the observer
+    forks sees the rows stored after the fork: the CLI's trace writer
+    formats them on a second core while the trace is integrated.
     """
     token = _observer.set(observer)
     try:
@@ -519,12 +519,12 @@ def integrate(scenario: Scenario) -> SimRecord:
     and per-step ``random.Random(seed).gauss`` calls. Each step packs
     its row into the block's byte buffer; the block's rows are stored in
     the record with one slice assignment, after which the observer of
-    :func:`observe_blocks`, if one is set, is called. An observed
-    record's array is shared memory (see there); any other owns its
-    memory. The scenario's inputs were checked when it was built, so the
-    only error raised here is :class:`SimulationDiverged`, when the
-    state leaves the finite range; its ``record`` holds the rows up to
-    the blow-up.
+    :func:`observe_blocks`, if one is set, is called. The record's array
+    is shared memory (see there). The scenario's inputs were checked
+    when it was built, so the only errors raised here are
+    :class:`MemoryError` and :class:`SimulationDiverged`, when the state
+    leaves the finite range; its ``record`` holds the rows up to the
+    blow-up.
     """
     sc = scenario
     model = sc.model
@@ -533,10 +533,12 @@ def integrate(scenario: Scenario) -> SimRecord:
     j_ay, j_k = model.j_ay, model.j_k
     j_ratio = j_ay / j_k
     gthr = sc.guard.threshold
-    observe = _observer.get()
-    shape, size = (n + 1, len(COLUMNS)), (n + 1) * _ROW.size
-    rec = np.empty(shape) if observe is None else np.ndarray(shape, buffer=mmap.mmap(-1, size))
+    try:  # a failed mapping is no file's error: raise what np.empty would
+        rec = np.ndarray((n + 1, len(COLUMNS)), buffer=mmap.mmap(-1, (n + 1) * _ROW.size))
+    except OSError as e:
+        raise MemoryError(f"cannot allocate the record of {n + 1:,} rows: {e.strerror}") from e
     record = SimRecord(rec, sc)
+    observe = _observer.get()
     pack, row_size = _ROW.pack_into, _ROW.size
     buf = bytearray(row_size * _BLOCK)  # the block's rows, packed
 

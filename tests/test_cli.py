@@ -2,8 +2,10 @@ import configparser
 import contextlib
 import contextvars
 import errno
+import fcntl
 import hashlib
 import math
+import mmap
 import os
 import re
 import select
@@ -219,9 +221,47 @@ class TestTraceCsv:
         reference_write(data[: given * B], tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipe size is Linux-only")
     def test_pipe_holds_a_byte_for_each_chunk_of_the_longest_record(self):
         # so that no observation waits for the helper to read
-        assert -(-(sim.MAX_STEPS + 1) // cli.CSV_BLOCK_ROWS) < 65536
+        r, w = os.pipe()
+        try:
+            capacity = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ)
+        finally:
+            os.close(r)
+            os.close(w)
+        assert -(-(sim.MAX_STEPS + 1) // cli.CSV_BLOCK_ROWS) < capacity
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe size is Linux-only")
+    def test_helper_that_died_does_not_hold_up_a_pipe_it_cannot_hold(self, tmp_path, monkeypatch):
+        # a one-page pipe and a record with more chunks than that: the
+        # write that overfills it must fail, not wait for a dead reader
+        real_pipe = os.pipe
+
+        def small_pipe():
+            r, w = real_pipe()
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, mmap.PAGESIZE)
+            return r, w
+
+        def timeout(signum, frame):
+            raise AssertionError("the write waited for a helper that died")
+
+        monkeypatch.setattr(os, "pipe", small_pipe)
+        break_in(monkeypatch, "_csv_rows", in_helper=True)
+        data = np.broadcast_to(np.zeros(len(sim.COLUMNS)), ((mmap.PAGESIZE + 2) * B, len(sim.COLUMNS)))
+        path = tmp_path / "trace.csv"
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with pytest.raises(OSError, match=re.escape(str(path))) as e:
+                with cli._trace_writer(path) as observe:
+                    observe(data, B)
+                    observe(data, len(data))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert e.value.errno == errno.EIO
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "in_helper, error", [(True, OSError), (False, MemoryError)], ids=["helper", "parent"]

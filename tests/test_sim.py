@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 import os
 import random
 import tracemalloc
@@ -541,8 +543,14 @@ class TestIntegrate:
         assert rec.n_rows > _BLOCK and rec.data[-1, 0] == sc.duration
         assert row == rec.data[-1].tobytes()
 
-    def test_unobserved_record_owns_its_memory(self):
-        assert integrate(replace(preset("fig3-stab"), duration=1.0)).data.flags.owndata
+    def test_record_that_cannot_be_mapped_is_a_memory_error(self, monkeypatch):
+        # as np.empty fails: an OSError would read as a failed file write
+        def no_memory(fileno, length):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        with pytest.raises(MemoryError, match="record of 1,001 rows: Cannot allocate memory"):
+            integrate(replace(preset("fig3-stab"), duration=1.0))
 
     def test_stabilize_ignores_references(self):
         base = replace(preset("fig3-stab"), duration=1.0, name="st0")
