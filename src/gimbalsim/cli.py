@@ -34,6 +34,7 @@ import random
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from html import escape
 from pathlib import Path
@@ -1243,7 +1244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # a warning shows as one line, as an error does; the warning filters
+    # in force still decide which warnings show
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return args.func(args)
 
 
 if __name__ == "__main__":

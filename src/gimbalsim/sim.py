@@ -25,6 +25,7 @@ import mmap
 import os
 import random
 import struct
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -105,15 +106,15 @@ MAX_STEPS = 10_000_000
 class SimulationDiverged(RuntimeError):
     """A state component became non-finite during integration.
 
-    ``record``, set by :func:`integrate`, is the trace up to the
+    ``record``, as :func:`integrate` raises it, is the trace up to the
     blow-up: a :class:`SimRecord` whose last row is the step from which
     the state left the finite range.
     """
 
-    def __init__(self, t: float, state: GimbalState):
+    def __init__(self, t: float, state: GimbalState, record: SimRecord | None = None):
         self.t = t
         self.state = state
-        self.record: SimRecord | None = None
+        self.record = record
         super().__init__(f"non-finite state at t={t:.6g}: {state}")
 
 
@@ -336,10 +337,15 @@ class Scenario:
                 if g is not None
             )
             if self.step_size * gmax > 0.1:
+                # name the line that built the scenario: past __init__, and
+                # past dataclasses.replace when that built it
+                level, caller = 3, sys._getframe(2)
+                while caller.f_globals.get("__name__") == "dataclasses":
+                    level, caller = level + 1, caller.f_back
                 warnings.warn(
                     f"step_size {self.step_size:g} is coarse for max gain {gmax:g}; "
                     "closed-loop time constant is poorly resolved",
-                    stacklevel=3,  # the line that built the scenario, past __init__
+                    stacklevel=level,
                 )
 
     @property
@@ -453,13 +459,13 @@ def _gauss_pairs(rng: random.Random, m: int, sig_y: float, sig_z: float):
 
 
 def _time_samples(sc: Scenario, los: bool):
-    """Yield, for each block of up to ``_BLOCK`` steps of ``sc``, its
-    first step ``k0`` and an iterator over the block's steps. Each step
-    ``k`` gives ``k`` and a tuple of 27 floats: ``t = k * h``, the
-    platform rates at ``t``, ``t + h / 2`` and ``t + h`` (6 values
-    each), the reference terms ``ff_q, ff_r, ref_q, ref_r, pos_q,
-    pos_r`` and the torque noise ``ny, nz``, computed with numpy once per
-    block and unpacked per step from the block's ``(m, 27)`` array.
+    """Yield, for each block of up to ``_BLOCK`` steps of ``sc``, an
+    iterator over the block's steps. Each step ``k`` gives ``k`` and a
+    tuple of 27 floats: ``t = k * h``, the platform rates at ``t``,
+    ``t + h / 2`` and ``t + h`` (6 values each), the reference terms
+    ``ff_q, ff_r, ref_q, ref_r, pos_q, pos_r`` and the torque noise
+    ``ny, nz``, computed with numpy once per block and unpacked per step
+    from the block's ``(m, 27)`` array.
 
     The laws differ only in their reference terms: the rate laws add
     d1 + c (value - rate), the LOS law d2 + c_rate (d1 - rate) +
@@ -489,20 +495,7 @@ def _time_samples(sc: Scenario, los: bool):
         else:
             ny, nz = _gauss_pairs(rng, len(ts), noise.sigma_y, noise.sigma_z)
         cols = (ts, *body[:, 0], *body[:, 1], *body[:, 2], *refs, vq, vr, ny, nz)
-        yield k0, zip(range(k0, n + 1), _STEP_INPUTS.iter_unpack(np.stack(cols, axis=1)))
-
-
-def _diverged(
-    t: float, state: GimbalState, record: SimRecord, k0: int, buf: bytearray, m: int
-) -> SimulationDiverged:
-    """The exception for a blow-up at ``t``, whose ``record`` keeps the
-    rows integrated before it: the block's ``m`` pending rows in
-    ``buf``, from step ``k0`` on, are stored in ``record.data`` first."""
-    data = record.data
-    data[k0:k0 + m] = np.frombuffer(buf, count=m * data.shape[1]).reshape(m, -1)
-    exc = SimulationDiverged(t, state)
-    exc.record = SimRecord(data[: k0 + m], record.scenario)
-    return exc
+        yield zip(range(k0, n + 1), _STEP_INPUTS.iter_unpack(np.stack(cols, axis=1)))
 
 
 def integrate(scenario: Scenario) -> SimRecord:
@@ -517,10 +510,9 @@ def integrate(scenario: Scenario) -> SimRecord:
     ``t + h`` a per-step call would use, so the trace has the same bits
     as one built from ``rates``, the references' ``value``/``d1``/``d2``
     and per-step ``random.Random(seed).gauss`` calls. Each step packs
-    its row into the block's byte buffer; the block's rows are stored in
-    the record with one slice assignment, after which the observer of
-    :func:`observe_blocks`, if one is set, is called. The record's array
-    is shared memory (see there). The scenario's inputs were checked
+    its row straight into the record's shared memory (see
+    :func:`observe_blocks`); after each block the observer set there,
+    if any, is called. The scenario's inputs were checked
     when it was built, so the only errors raised here are
     :class:`MemoryError` and :class:`SimulationDiverged`, when the state
     leaves the finite range; its ``record`` holds the rows up to the
@@ -534,13 +526,12 @@ def integrate(scenario: Scenario) -> SimRecord:
     j_ratio = j_ay / j_k
     gthr = sc.guard.threshold
     try:  # a failed mapping is no file's error: raise what np.empty would
-        rec = np.ndarray((n + 1, len(COLUMNS)), buffer=mmap.mmap(-1, (n + 1) * _ROW.size))
+        mem = mmap.mmap(-1, (n + 1) * _ROW.size)
     except OSError as e:
         raise MemoryError(f"cannot allocate the record of {n + 1:,} rows: {e.strerror}") from e
-    record = SimRecord(rec, sc)
+    rec = np.ndarray((n + 1, len(COLUMNS)), buffer=mem)
     observe = _observer.get()
     pack, row_size = _ROW.pack_into, _ROW.size
-    buf = bytearray(row_size * _BLOCK)  # the block's rows, packed
 
     x1, x2, x3, x4, tq, tr = sc.initial_state
 
@@ -560,7 +551,7 @@ def integrate(scenario: Scenario) -> SimRecord:
 
     half = 0.5 * h
     sixth = h / 6.0
-    for k0, steps in _time_samples(sc, los):
+    for steps in _time_samples(sc, los):
         for k, (
             t, p, q, r, p_dot, q_dot, r_dot,
             pm, qm, rm, pdm, qdm, rdm, pn, qn, rn, pdn, qdn, rdn,
@@ -620,7 +611,7 @@ def integrate(scenario: Scenario) -> SimRecord:
                 u1, u2, ga = j_ay * v1, j_k * v2, 0.0
             else:  # open-loop
                 v1 = v2 = u1 = u2 = ga = 0.0
-            pack(buf, (k - k0) * row_size,
+            pack(mem, k * row_size,
                  t, x1, x2, x3, x4, tq, tr, q_a, r_a, v1, v2, u1, u2, ga, ny, nz)
             if k == n:
                 break
@@ -665,7 +656,7 @@ def integrate(scenario: Scenario) -> SimRecord:
                 # trig of an overflowed stage state; same root cause as the
                 # post-step finiteness check
                 state = GimbalState(x1, x2, x3, x4, tq, tr)
-                raise _diverged(t, state, record, k0, buf, k + 1 - k0) from exc
+                raise SimulationDiverged(t, state, SimRecord(rec[:k + 1], sc)) from exc
             x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
             x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
             x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
@@ -679,13 +670,11 @@ def integrate(scenario: Scenario) -> SimRecord:
                 and isfinite(x4) and isfinite(tq) and isfinite(tr)
             ):
                 state = GimbalState(x1, x2, x3, x4, tq, tr)
-                raise _diverged(t + h, state, record, k0, buf, k + 1 - k0)
-        m = k + 1 - k0
-        rec[k0:k0 + m] = np.frombuffer(buf, count=m * len(COLUMNS)).reshape(m, -1)
+                raise SimulationDiverged(t + h, state, SimRecord(rec[:k + 1], sc))
         if observe is not None:
-            observe(rec, k0 + m)
+            observe(rec, k + 1)
 
-    return record
+    return SimRecord(rec, sc)
 
 
 # ---------------------------------------------------------------------------

@@ -825,6 +825,28 @@ class TestRunCommand:
             title = ElementTree.parse(out / name).find("{http://www.w3.org/2000/svg}text").text
             assert name == "platform.svg" or title.endswith("(50% a&b<c)"), title
 
+    @pytest.mark.parametrize("source", ["step-size", "config"])
+    def test_warning_is_one_line_on_stderr(self, tmp_path, capsys, source):
+        if source == "config":
+            cfg = tmp_path / "coarse.ini"
+            cfg.write_text(
+                "[scenario]\ncontroller = stabilize\nstep_size = 0.5\n\n[gains]\nc1 = 3\nc2 = 4\n"
+            )
+            argv = ["--config", str(cfg)]
+        else:
+            argv = ["--preset", "fig3-stab", "--step-size", "0.5"]
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: step_size 0.5 is coarse for max gain 4; "
+            "closed-loop time constant is poorly resolved\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore:step_size")
+    def test_ignored_warning_is_not_printed(self, tmp_path, capsys):
+        argv = ["run", "--preset", "fig3-stab", "--step-size", "0.5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.filterwarnings("ignore:step_size")
     def test_seed_override_lands_in_resolved_scenario(self, tmp_path):
         out = tmp_path / "seeded"

@@ -332,9 +332,11 @@ class TestScenarioValidation:
             Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
 
     def test_coarse_step_warning_names_the_line_that_built_the_scenario(self):
+        # built directly, and by dataclasses.replace
         with pytest.warns(UserWarning, match="coarse") as caught:
-            Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
-        assert [w.filename for w in caught] == [__file__]
+            sc = Scenario(controller="stabilize", gains=ControlGains(20.0, 16.0), step_size=0.05)
+            replace(sc, step_size=0.5)
+        assert [w.filename for w in caught] == [__file__, __file__]
 
 
 # Platforms for the kernel oracle tests: time-varying, constant, and a
