@@ -669,39 +669,42 @@ def scenario_from_ini(text: str, source: str = "<string>") -> Scenario:
 # SVG line charts (no plotting dependency)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
-_TICKS_PER_AXIS = 6  # about how many ticks _nice_ticks places
+_TICKS_PER_AXIS = 6  # about how many ticks _axis places
+_BIG = sys.float_info.max
 
 
-def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / _TICKS_PER_AXIS
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * step:
-        ticks.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
-    return ticks
+def _axis(lo: float, hi: float, pad: float = 0.0) -> tuple[float, float, list[float]]:
+    """Plotted range ``(lo', hi', ticks)`` of an axis over finite values.
+
+    A range no wider than 1e-12 of its magnitude (at least 1) is widened
+    by that magnitude on each side. It is then padded by ``pad`` of its
+    width on each side, and each widening is clipped to the finite
+    floats. The ticks are the multiples of a 1, 2, 2.5 or 5 step in
+    the range, 3 to 7 of them. Widths are taken as differences of
+    halves, so none overflows.
+    """
+    mag = max(1.0, abs(lo), abs(hi))
+    if hi - lo <= 1e-12 * mag:
+        lo, hi = max(lo - mag, -_BIG), min(hi + mag, _BIG)
+    margin = pad * (hi / 2 - lo / 2) * 2
+    lo, hi = max(lo - margin, -_BIG), min(hi + margin, _BIG)
+    raw = (hi / 2 - lo / 2) / (_TICKS_PER_AXIS / 2)
+    unit = 10.0 ** math.floor(math.log10(raw))
+    step = next(m * unit for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * unit)
+    ks = range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)
+    return lo, hi, [min(max(k * step, lo), hi) for k in ks]
 
 
 def write_svg_chart(
     path: Path | str,
     title: str,
-    xlabel: str,
     ylabel: str,
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-    dashed: Sequence[str] = (),
 ) -> None:
     """Write a time-series line chart as a standalone SVG file.
 
-    ``series`` is a sequence of (label, x, y); labels listed in
-    ``dashed`` render with a dash pattern (used for references).
+    ``series`` is a sequence of (label, t, y); labels ending in
+    ``" ref"`` (references) render with a dash pattern.
     """
     width, height = 880, 520
     ml, mr, mt, mb = 72, 24, 44, 56
@@ -709,19 +712,15 @@ def write_svg_chart(
 
     xs = np.concatenate([np.asarray(x, float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, float) for _, _, y in series])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    if y1 - y0 < 1e-12:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    x0, x1, xticks = _axis(float(xs.min()), float(xs.max()))
+    y0, y1, yticks = _axis(float(ys.min()), float(ys.max()), pad=0.05)
 
     # plot coordinates of a value or, elementwise, of an array
     def px(x):
-        return ml + (x - x0) / (x1 - x0) * pw
+        return ml + (x / 2 - x0 / 2) / (x1 / 2 - x0 / 2) * pw
 
     def py(y):
-        return mt + (y1 - y) / (y1 - y0) * ph
+        return mt + (y1 / 2 - y / 2) / (y1 / 2 - y0 / 2) * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -731,14 +730,14 @@ def write_svg_chart(
         f"{escape(title)}</text>",
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
-    for tx in _nice_ticks(x0, x1):
+    for tx in xticks:
         X = px(tx)
         out.append(f'<line x1="{X:.1f}" y1="{mt + ph}" x2="{X:.1f}" y2="{mt + ph + 5}" stroke="#444"/>')
         out.append(f'<line x1="{X:.1f}" y1="{mt}" x2="{X:.1f}" y2="{mt + ph}" stroke="#ddd"/>')
         out.append(
             f'<text x="{X:.1f}" y="{mt + ph + 20}" text-anchor="middle">{tx:g}</text>'
         )
-    for ty in _nice_ticks(y0, y1):
+    for ty in yticks:
         Y = py(ty)
         out.append(f'<line x1="{ml - 5}" y1="{Y:.1f}" x2="{ml}" y2="{Y:.1f}" stroke="#444"/>')
         out.append(f'<line x1="{ml}" y1="{Y:.1f}" x2="{ml + pw}" y2="{Y:.1f}" stroke="#ddd"/>')
@@ -746,8 +745,7 @@ def write_svg_chart(
             f'<text x="{ml - 9}" y="{Y + 4:.1f}" text-anchor="end">{ty:g}</text>'
         )
     out.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle">'
-        f"{escape(xlabel)}</text>"
+        f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle">time [s]</text>'
     )
     out.append(
         f'<text x="20" y="{mt + ph / 2:.0f}" text-anchor="middle" '
@@ -760,7 +758,7 @@ def write_svg_chart(
         xy = np.stack([px(x[::stride]), py(y[::stride])], axis=1)
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         color = _PALETTE[i % len(_PALETTE)]
-        dash = ' stroke-dasharray="7 5"' if label in dashed else ""
+        dash = ' stroke-dasharray="7 5"' if label.endswith(" ref") else ""
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="{pts}"/>'
         )
@@ -781,46 +779,22 @@ def emit_plots(record: SimRecord, outdir: Path) -> list[Path]:
     stride = max(1, record.n_rows // 4000)
     ts = t[::stride]
     body = sc.platform.sample(ts)
-    paths = []
-
-    def emit(name, title, ylabel, series, dashed=()):
-        p = outdir / name
-        write_svg_chart(p, title, "time [s]", ylabel, series, dashed)
-        paths.append(p)
-
-    emit(
-        "platform.svg",
-        "platform body rates",
-        "rate [rad/s]",
-        [
-            ("p", ts, body[0]),
-            ("q", ts, body[1]),
-            ("r", ts, body[2]),
-        ],
-    )
-    emit(
-        "rates.svg",
-        f"LOS rates ({sc.name})",
-        "rate [rad/s]",
-        [("q_a", t, record.q_a), ("r_a", t, record.r_a)],
-    )
-    angle_series = [
-        ("theta_q", t, record.theta_q),
-        ("theta_r", t, record.theta_r),
-    ]
-    dashed = []
+    angles = [("theta_q", t, record.theta_q), ("theta_r", t, record.theta_r)]
     if sc.controller in ANGLE_TRACKING:
-        angle_series.append(("theta_q ref", ts, sc.ref_q.sample(ts)[0]))
-        angle_series.append(("theta_r ref", ts, sc.ref_r.sample(ts)[0]))
-        dashed = ["theta_q ref", "theta_r ref"]
-    emit("los_angles.svg", f"LOS angles ({sc.name})", "angle [rad]", angle_series, dashed)
-    emit(
-        "torques.svg",
-        f"motor torques ({sc.name})",
-        "torque [N m]",
-        [("u1", t, record.col("u1")), ("u2", t, record.col("u2"))],
-    )
-    return paths
+        angles.append(("theta_q ref", ts, sc.ref_q.sample(ts)[0]))
+        angles.append(("theta_r ref", ts, sc.ref_r.sample(ts)[0]))
+    charts = {
+        "platform.svg": ("platform body rates", "rate [rad/s]",
+                         [("p", ts, body[0]), ("q", ts, body[1]), ("r", ts, body[2])]),
+        "rates.svg": (f"LOS rates ({sc.name})", "rate [rad/s]",
+                      [("q_a", t, record.q_a), ("r_a", t, record.r_a)]),
+        "los_angles.svg": (f"LOS angles ({sc.name})", "angle [rad]", angles),
+        "torques.svg": (f"motor torques ({sc.name})", "torque [N m]",
+                        [("u1", t, record.col("u1")), ("u2", t, record.col("u2"))]),
+    }
+    for name, chart in charts.items():
+        write_svg_chart(outdir / name, *chart)
+    return [outdir / name for name in charts]
 
 
 # ---------------------------------------------------------------------------

@@ -104,18 +104,22 @@ MAX_STEPS = 10_000_000
 
 
 class SimulationDiverged(RuntimeError):
-    """A state component became non-finite during integration.
+    """A state component left the finite range during integration.
 
     ``record``, as :func:`integrate` raises it, is the trace up to the
     blow-up: a :class:`SimRecord` whose last row is the step from which
-    the state left the finite range.
+    the state left the finite range. ``t`` and ``state`` are that row's
+    time and state.
     """
 
-    def __init__(self, t: float, state: GimbalState, record: SimRecord | None = None):
-        self.t = t
-        self.state = state
+    def __init__(self, record: SimRecord):
+        row = record.data[-1].tolist()
         self.record = record
-        super().__init__(f"non-finite state at t={t:.6g}: {state}")
+        self.t = row[0]
+        self.state = GimbalState(*row[1:7])
+        super().__init__(
+            f"state left the finite range in the step from t={self.t:.6g} at {self.state}"
+        )
 
 
 class UnknownPresetError(ValueError):
@@ -655,8 +659,7 @@ def integrate(scenario: Scenario) -> SimRecord:
             except (ValueError, OverflowError) as exc:
                 # trig of an overflowed stage state; same root cause as the
                 # post-step finiteness check
-                state = GimbalState(x1, x2, x3, x4, tq, tr)
-                raise SimulationDiverged(t, state, SimRecord(rec[:k + 1], sc)) from exc
+                raise SimulationDiverged(SimRecord(rec[:k + 1], sc)) from exc
             x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1)
             x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
             x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
@@ -669,8 +672,7 @@ def integrate(scenario: Scenario) -> SimRecord:
                 isfinite(x1) and isfinite(x2) and isfinite(x3)
                 and isfinite(x4) and isfinite(tq) and isfinite(tr)
             ):
-                state = GimbalState(x1, x2, x3, x4, tq, tr)
-                raise SimulationDiverged(t + h, state, SimRecord(rec[:k + 1], sc))
+                raise SimulationDiverged(SimRecord(rec[:k + 1], sc))
         if observe is not None:
             observe(rec, k + 1)
 

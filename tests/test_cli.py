@@ -825,6 +825,30 @@ class TestRunCommand:
             title = ElementTree.parse(out / name).find("{http://www.w3.org/2000/svg}text").text
             assert name == "platform.svg" or title.endswith("(50% a&b<c)"), title
 
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            # theta ranges ~1e-10 wide near 1e6: a tick step below the
+            # spacing of the floats there, which used to append ticks
+            # without end
+            "x2 = 6e-8\ntheta_q = 1e6\ntheta_r = 1e6\n",
+            # constant thetas of 1e17, where widening by 1 is absorbed:
+            # used to crash on log10(0)
+            "theta_q = 1e17\ntheta_r = 1e17\n",
+        ],
+        ids=["ticks-below-float-spacing", "widening-absorbed"],
+    )
+    def test_plots_of_large_angles_finish(self, tmp_path, initial):
+        cfg = tmp_path / "large.ini"
+        cfg.write_text(
+            "[scenario]\ncontroller = open-loop\nduration = 0.002\n\n"
+            f"[platform]\nkind = constant\n\n[initial]\n{initial}"
+        )
+        out = tmp_path / "large"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--plots"]) == 0
+        for name in ("platform.svg", "rates.svg", "los_angles.svg", "torques.svg"):
+            assert_complete_chart(out / name)
+
     @pytest.mark.parametrize("source", ["step-size", "config"])
     def test_warning_is_one_line_on_stderr(self, tmp_path, capsys, source):
         if source == "config":
@@ -1069,9 +1093,63 @@ class TestRunCommand:
         calls = count_forks(monkeypatch)
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "boomout")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: simulation diverged: non-finite state at t=3")
+        assert capsys.readouterr().err.startswith(
+            "error: simulation diverged: state left the finite range in the step from t=3"
+        )
         assert len(calls) == 1
         assert_trace_is_partial_record(tmp_path / "boomout", sc)
+
+
+def assert_complete_chart(path):
+    """``path`` is a whole SVG chart whose every coordinate is finite."""
+    text = Path(path).read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    coords = []
+    for node in ElementTree.fromstring(text).iter():
+        coords += [float(node.get(a)) for a in ("x", "y", "x1", "y1", "x2", "y2") if node.get(a)]
+        coords += [float(v) for v in re.split("[ ,]", node.get("points", "")) if v]
+    assert coords and all(math.isfinite(v) for v in coords)
+
+
+# Finite bounds for an axis, spread over every magnitude the floats have
+axis_bounds = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, 1e6, 1e17, 1e300, -1e300,
+                     sys.float_info.max, -sys.float_info.max]),
+)
+
+
+@st.composite
+def axis_ranges(draw):
+    """(lo, hi), lo <= hi: equal values, a few ulps apart, or any two."""
+    lo = draw(axis_bounds)
+    kind = draw(st.sampled_from(["equal", "ulps", "any"]))
+    hi = draw(axis_bounds) if kind == "any" else lo
+    if kind == "ulps":
+        for _ in range(draw(st.integers(1, 8))):
+            hi = min(math.nextafter(hi, math.inf), sys.float_info.max)
+    return min(lo, hi), max(lo, hi)
+
+
+class TestSvgChart:
+    @seed(25)
+    @settings(max_examples=400, deadline=None)
+    @given(axis_ranges(), st.sampled_from([0.0, 0.05]))
+    def test_axis_is_finite_with_a_few_ticks_inside(self, bounds, pad):
+        lo, hi = bounds
+        lo2, hi2, ticks = cli._axis(lo, hi, pad)
+        assert math.isfinite(lo2) and math.isfinite(hi2)
+        assert lo2 < hi2 and lo2 <= lo and hi <= hi2
+        assert 2 <= len(ticks) <= 13
+        assert all(lo2 <= v <= hi2 for v in ticks)
+        assert ticks == sorted(set(ticks))
+
+    def test_values_beyond_the_float_range_are_charted(self, tmp_path):
+        # the values span 2e308, more than the largest float
+        t = np.linspace(0.0, 1.0, 5)
+        path = tmp_path / "wide.svg"
+        cli.write_svg_chart(path, "x", "y", [("a", t, np.array([-1e308, 0, 0, 0, 1e308]))])
+        assert_complete_chart(path)
 
 
 def boom(t_on, **fields):

@@ -455,7 +455,7 @@ class TestIntegrate:
                 step_size=1e-3,
                 initial_state=GimbalState(0.0, 0.1, 0.0, 0.1),
             )
-        with pytest.raises(SimulationDiverged, match="non-finite"):
+        with pytest.raises(SimulationDiverged, match="left the finite range"):
             integrate(sc)
 
     @pytest.mark.filterwarnings("ignore:step_size")
@@ -487,7 +487,9 @@ class TestIntegrate:
         assert exc.record.scenario == sc
         assert bool(exc.record.col("noise_y").any()) == sc.noise.enabled
         k = exc.record.n_rows - 1
-        assert exc.t == pytest.approx((k + (cause is type(None))) * sc.step_size)
+        # t and state are the last row's, on both detection paths
+        assert exc.t == pytest.approx(k * sc.step_size)
+        assert [exc.t, *exc.state] == exc.record.data[-1, :7].tolist()
         cut = integrate(replace(sc, duration=k * sc.step_size)).data
         assert cut.shape == exc.record.data.shape
         assert np.array_equal(cut.view(np.uint64), exc.record.data.view(np.uint64))
